@@ -36,7 +36,8 @@ def reproduce_cache_ablation(tmp_dir: str) -> dict:
     return {
         "cold_time_s": cold_time,
         "warm_time_s": warm_time,
-        "cache_hits_on_rerun": warm_executor.last_report["cache"]["hits"],
+        "cache_hits_on_rerun": warm_executor.last_report["cache"]["shard_hits"]
+        + warm_executor.last_report["cache"]["resolve_hits"],
         "plain_cache_bytes": plain.total_bytes(),
         "compressed_cache_bytes": compressed.total_bytes(),
         "cache_mode_space_units": estimate_cache_space(1, num_mappers, num_filters, num_dedups),

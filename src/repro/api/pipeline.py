@@ -288,7 +288,7 @@ class Pipeline:
     def op_fingerprint_chain(self, seed: str = "") -> list[str]:
         """Incremental fingerprint of each step, seeded by ``seed``.
 
-        The exact recurrence the execution engines stamp on their outputs —
+        The exact recurrence the operators stamp on their outputs —
         ``hash(parent_fp, op.name, op.config())`` (see
         :meth:`repro.core.dataset.NestedDataset.derive_fingerprint`) — so two
         pipelines with equal chains are guaranteed to hit the same caches and
@@ -365,9 +365,9 @@ class Pipeline:
     def collect(self, dataset: NestedDataset | None = None) -> NestedDataset:
         """Execute in-memory and return the processed :class:`NestedDataset`.
 
-        ``collect`` always uses the in-memory engine (a materialised result
-        is the point); use :meth:`run` / :meth:`export` for planner-driven
-        mode selection over large corpora.
+        ``collect`` always runs in memory, as one unbounded shard (a
+        materialised result is the point); use :meth:`run` / :meth:`export`
+        for planner-driven mode selection over large corpora.
         """
         with Executor(self.to_config()) as executor:
             return executor.run(dataset)

@@ -370,7 +370,7 @@ class Deduplicator(OP):
                 lambda sample: self.compute_hash(dict(sample)),
                 new_fingerprint=hash_fingerprint,
             )
-        show_num = 10 if tracer is not None else 0
+        show_num = tracer.show_num if tracer is not None else 0
         deduped, duplicate_pairs = self.process(hashed, show_num=show_num)
         if tracer is not None:
             tracer.trace_deduplicator(self.name, len(hashed), len(deduped), duplicate_pairs)

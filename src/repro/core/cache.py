@@ -1,24 +1,23 @@
-"""On-disk cache of intermediate datasets, keyed by fingerprint, with compression.
+"""On-disk cache of stage outputs, keyed by content, with optional compression.
 
-Reproduces the cache management described in Sec. 4.1.1 / 6 of the paper: every
-operator's output can be cached to disk keyed by (input fingerprint, operator
-configuration), so re-running a recipe after tweaking a late operator skips the
-unchanged prefix.  Cache files can be transparently compressed; zlib / lzma /
-gzip stand in for the zstd / LZ4 codecs used by the original system.
+Reproduces the cache management described in Sec. 4.1.1 / 6 of the paper:
+operator output is cached to disk keyed by (input, operator configuration), so
+re-running a recipe after tweaking a late operator skips the unchanged prefix.
+Cache files can be transparently compressed; zlib / lzma / gzip stand in for
+the zstd / LZ4 codecs used by the original system.
 
-Two granularities share one manager and one directory:
+Every entry has one format: a pickle of the cached value (lossless for any
+Python payload — dates stay dates, tuples stay tuples), passed through the
+configured codec.  The executor stores two kinds of entries:
 
-* **dataset-level** (``save`` / ``load``): whole intermediate datasets, keyed
-  by ``(input fingerprint, op name, op params)`` — the in-memory
-  ``Executor.run`` path.
-* **shard-level** (``save_shard_rows`` / ``load_shard_rows``): one processed
-  shard of a streaming stage, keyed by ``(op fingerprint chain, shard
-  signature)`` via :meth:`CacheManager.make_shard_key`.  Shard entries are
-  pickled (lossless for any Python payload, exactly like the streaming spill
-  store) and answer ``Executor.run_streaming`` re-runs over unchanged inputs
-  without recomputing the shard.  Hits and misses are counted separately
-  (``shard_hits`` / ``shard_misses``) so run reports can distinguish the two
-  modes.
+* **shard entries** (``save_shard_rows`` / ``load_shard_rows``): one
+  processed shard of a pipeline stage, keyed by ``(op fingerprint chain,
+  shard signature)`` via :meth:`CacheManager.make_shard_key`; counted as
+  ``shard_hits`` / ``shard_misses``.
+* **resolve entries** (``save`` / ``load``): the keep mask of one global
+  resolve (Deduplicators, Selectors), keyed on the stage chain and the
+  ordered shard keys via :meth:`CacheManager.make_resolve_key`; counted as
+  ``resolve_hits`` / ``resolve_misses``.
 """
 
 from __future__ import annotations
@@ -28,21 +27,27 @@ import gzip
 import hashlib
 import json
 import lzma
+import os
 import pickle
+import tempfile
 import zlib
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
-from repro.core.dataset import NestedDataset
 from repro.core.errors import ReproError
 
-_COMPRESSORS: dict[str, tuple[Callable[[bytes], bytes], Callable[[bytes], bytes], str]] = {
-    "none": (lambda data: data, lambda data: data, ".json"),
-    "zlib": (zlib.compress, zlib.decompress, ".json.zlib"),
-    "gzip": (gzip.compress, gzip.decompress, ".json.gz"),
-    "lzma": (lzma.compress, lzma.decompress, ".json.xz"),
-    "bz2": (bz2.compress, bz2.decompress, ".json.bz2"),
+_COMPRESSORS: dict[str, tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]] = {
+    "none": (lambda data: data, lambda data: data),
+    "zlib": (zlib.compress, zlib.decompress),
+    "gzip": (gzip.compress, gzip.decompress),
+    "lzma": (lzma.compress, lzma.decompress),
+    "bz2": (bz2.compress, bz2.decompress),
 }
+
+#: what an unreadable entry raises on decode; it then counts as a miss
+_DECODE_ERRORS = (
+    OSError, ValueError, EOFError, pickle.UnpicklingError, zlib.error, lzma.LZMAError,
+)
 
 
 def available_codecs() -> list[str]:
@@ -51,7 +56,7 @@ def available_codecs() -> list[str]:
 
 
 class CacheManager:
-    """Fingerprint-keyed dataset cache with optional compression.
+    """Content-keyed entry cache with optional compression.
 
     Parameters
     ----------
@@ -72,33 +77,15 @@ class CacheManager:
         self.cache_dir = Path(cache_dir)
         self.compression = compression
         self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
         self.shard_hits = 0
         self.shard_misses = 0
+        self.resolve_hits = 0
+        self.resolve_misses = 0
 
     # ------------------------------------------------------------------
-    def _path_for(self, key: str) -> Path:
-        digest = hashlib.sha1(key.encode("utf-8")).hexdigest()
-        suffix = _COMPRESSORS[self.compression][2]
-        return self.cache_dir / f"cache-{digest}{suffix}"
-
-    def _shard_path_for(self, key: str) -> Path:
-        digest = hashlib.sha1(key.encode("utf-8")).hexdigest()
-        return self.cache_dir / f"shard-{digest}.pkl"
-
-    @staticmethod
-    def make_key(dataset_fingerprint: str, op_name: str, op_params: dict) -> str:
-        """Build the cache key of an operator applied to a dataset."""
-        return json.dumps(
-            {"fingerprint": dataset_fingerprint, "op": op_name, "params": op_params},
-            sort_keys=True,
-            default=repr,
-        )
-
     @staticmethod
     def make_shard_key(op_chain: str, shard_signature: str) -> str:
-        """Build the cache key of a streaming stage applied to one shard.
+        """Build the cache key of a pipeline stage applied to one shard.
 
         ``op_chain`` digests the ordered operator configurations of the stage
         (every shard-local op, plus a Deduplicator's hashing stage when the
@@ -106,110 +93,114 @@ class CacheManager:
         input rows.  Together they guarantee a hit replays exactly what
         recomputation would produce.
         """
+        return json.dumps({"op_chain": op_chain, "shard": shard_signature}, sort_keys=True)
+
+    @staticmethod
+    def make_resolve_key(stage_chain: str, shard_keys: list[str], show_num: int) -> str:
+        """Build the cache key of one global resolve.
+
+        ``stage_chain`` digests the stage including the global op's config;
+        ``shard_keys`` are the stage's shard keys in order, so equal keys mean
+        equal signature rows; ``show_num`` is the number of trace pairs kept.
+        """
         return json.dumps(
-            {"op_chain": op_chain, "shard": shard_signature}, sort_keys=True
+            {"resolve": stage_chain, "shards": shard_keys, "show_num": show_num},
+            sort_keys=True,
         )
 
-    # ------------------------------------------------------------------
-    def save(self, key: str, dataset: NestedDataset) -> Path | None:
-        """Serialise a dataset into the cache; returns the written path (or None)."""
-        if not self.enabled:
-            return None
+    def _path_for(self, key: str) -> Path:
+        digest = hashlib.sha1(key.encode("utf-8")).hexdigest()
+        return self.cache_dir / f"entry-{digest}.pkl"
+
+    def _write(self, key: str, value: Any) -> Path:
+        """Atomically write one entry through a temp file unique to this call."""
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        compress, _, _ = _COMPRESSORS[self.compression]
-        payload = json.dumps(
-            {"fingerprint": dataset.fingerprint, "columns": dataset.to_dict()},
-            ensure_ascii=False,
-            default=repr,
-        ).encode("utf-8")
+        compress, _ = _COMPRESSORS[self.compression]
+        payload = compress(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
         path = self._path_for(key)
-        path.write_bytes(compress(payload))
+        handle, temp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=self.cache_dir)
+        try:
+            with os.fdopen(handle, "wb") as stream:
+                stream.write(payload)
+            os.replace(temp, path)
+        except BaseException:
+            Path(temp).unlink(missing_ok=True)
+            raise
         return path
 
-    def load(self, key: str) -> NestedDataset | None:
-        """Load a dataset from the cache; returns None on a miss."""
+    def _read(self, key: str) -> Any:
+        """Decode one entry; ``None`` when it is absent or unreadable."""
+        _, decompress = _COMPRESSORS[self.compression]
+        try:
+            return pickle.loads(decompress(self._path_for(key).read_bytes()))
+        except _DECODE_ERRORS:
+            return None
+
+    # ------------------------------------------------------------------
+    def save(self, key: str, value: Any) -> Path | None:
+        """Cache any picklable value; returns the written path (or None)."""
+        return self._write(key, value) if self.enabled else None
+
+    def load(self, key: str) -> Any:
+        """Replay a value saved by :meth:`save`; None (a resolve miss) when absent."""
         if not self.enabled:
             return None
-        path = self._path_for(key)
-        if not path.exists():
-            self.misses += 1
+        value = self._read(key)
+        if value is None:
+            self.resolve_misses += 1
+        else:
+            self.resolve_hits += 1
+        return value
+
+    def save_shard_rows(self, key: str, rows: list[dict]) -> Path | None:
+        """Cache one processed shard of a pipeline stage.
+
+        Writes are atomic through a temp name unique to the call, so
+        concurrent runs sharing a cache directory — even writers of the same
+        key — never observe a torn entry or lose each other's temp file.
+        """
+        return self._write(key, rows) if self.enabled else None
+
+    def load_shard_rows(self, key: str) -> list[dict] | None:
+        """Replay a cached shard; returns None (and counts a miss) when absent."""
+        if not self.enabled:
             return None
-        _, decompress, _ = _COMPRESSORS[self.compression]
-        try:
-            payload = json.loads(decompress(path.read_bytes()).decode("utf-8"))
-        except (OSError, ValueError, zlib.error, lzma.LZMAError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        dataset = NestedDataset.from_dict(payload["columns"])
-        dataset._fingerprint = payload.get("fingerprint", dataset.fingerprint)
-        return dataset
+        rows = self._read(key)
+        if rows is None:
+            self.shard_misses += 1
+        else:
+            self.shard_hits += 1
+        return rows
+
+    def counters(self) -> dict[str, int]:
+        """Hit/miss counters of both entry kinds (for run reports)."""
+        return {
+            "shard_hits": self.shard_hits,
+            "shard_misses": self.shard_misses,
+            "resolve_hits": self.resolve_hits,
+            "resolve_misses": self.resolve_misses,
+        }
 
     def contains(self, key: str) -> bool:
         """Return True when a cache entry exists for ``key``."""
         return self.enabled and self._path_for(key).exists()
 
     # ------------------------------------------------------------------
-    # Shard-level entries (streaming mode)
-    # ------------------------------------------------------------------
-    def save_shard_rows(self, key: str, rows: list[dict]) -> Path | None:
-        """Cache one processed shard of a streaming stage.
-
-        Rows are pickled (like the streaming spill store): lossless for every
-        Python payload, so a cache replay can never differ from recomputation.
-        The configured compression codec applies to the pickled bytes.
-        Writes are atomic (temp file + rename), so concurrent runs sharing a
-        cache directory never observe a torn entry.
-        """
-        if not self.enabled:
-            return None
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        compress, _, _ = _COMPRESSORS[self.compression]
-        path = self._shard_path_for(key)
-        temp = path.with_suffix(".tmp")
-        temp.write_bytes(compress(pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)))
-        temp.replace(path)
-        return path
-
-    def load_shard_rows(self, key: str) -> list[dict] | None:
-        """Replay a cached shard; returns None (and counts a miss) when absent."""
-        if not self.enabled:
-            return None
-        path = self._shard_path_for(key)
-        if not path.exists():
-            self.shard_misses += 1
-            return None
-        _, decompress, _ = _COMPRESSORS[self.compression]
-        try:
-            rows = pickle.loads(decompress(path.read_bytes()))
-        except (OSError, ValueError, pickle.UnpicklingError, EOFError,
-                zlib.error, lzma.LZMAError):
-            self.shard_misses += 1
-            return None
-        self.shard_hits += 1
-        return rows
-
-    # ------------------------------------------------------------------
-    def clear(self) -> int:
-        """Delete every cache file (both granularities); returns the count."""
+    def _entries(self) -> list[Path]:
         if not self.cache_dir.exists():
-            return 0
-        removed = 0
-        for pattern in ("cache-*", "shard-*"):
-            for path in self.cache_dir.glob(pattern):
-                path.unlink()
-                removed += 1
-        return removed
+            return []
+        return list(self.cache_dir.glob("entry-*.pkl"))
+
+    def clear(self) -> int:
+        """Delete every cache entry; returns the count."""
+        entries = self._entries()
+        for path in entries:
+            path.unlink()
+        return len(entries)
 
     def total_bytes(self) -> int:
-        """Total on-disk size of all cache files (bytes, both granularities)."""
-        if not self.cache_dir.exists():
-            return 0
-        return sum(
-            path.stat().st_size
-            for pattern in ("cache-*", "shard-*")
-            for path in self.cache_dir.glob(pattern)
-        )
+        """Total on-disk size of all cache entries, in bytes."""
+        return sum(path.stat().st_size for path in self._entries())
 
 
 def estimate_cache_space(

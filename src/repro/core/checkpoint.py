@@ -1,21 +1,14 @@
-"""Checkpoint manager: persist the full processing state for crash recovery.
+"""Checkpoint manager: persist processing state for crash recovery.
 
-The paper's checkpoint mechanism (Sec. 4.1.1) stores the whole dataset plus the
-index of the last completed operator so a failed or interrupted run can resume
-from the most recent state instead of re-executing the whole recipe.
-
-Two granularities are supported:
-
-* **run-level** (``save`` / ``load``): the classic whole-dataset checkpoint
-  written after every completed operator.  The state records a per-op
-  *config hash* besides the op name, so editing an operator's parameters
-  invalidates the resume instead of silently reusing data produced by the
-  old configuration.
-* **shard-level** (``stream_dir`` / ``*_stream_state``): the streaming run
-  mode spills every processed shard under ``<checkpoint_dir>/stream`` (see
-  :class:`repro.core.stream.ShardStore`), so a crash resumes mid-corpus.
-  The manager owns the persistent directory and the state file that guards
-  it against recipe / shard-budget changes.
+The paper's checkpoint mechanism (Sec. 4.1.1) stores processing state so a
+failed or interrupted run resumes from the most recent state instead of
+re-executing the whole recipe.  Here the state is shard-granular: with
+``use_checkpoint`` every pipeline stage spills its processed shards under
+``<checkpoint_dir>/stream`` (see :class:`repro.core.stream.ShardStore`), so a
+crash resumes mid-corpus.  The manager owns that directory and the state file
+that guards it: the per-op config hashes, the shard budget and the input
+signature of the run that wrote the spill.  Any difference — or a state file
+that cannot be read — means the spill describes another run and is dropped.
 """
 
 from __future__ import annotations
@@ -23,10 +16,6 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-
-from repro.core.dataset import NestedDataset
-from repro.core.errors import CheckpointError
-from repro.core.serialization import JsonSanitizer
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -42,10 +31,8 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 class CheckpointManager:
-    """Save/load dataset + pipeline-position checkpoints under a directory."""
+    """Own the shard spill directory of checkpointed runs and its state file."""
 
-    STATE_FILE = "checkpoint_state.json"
-    DATA_FILE = "checkpoint_data.jsonl"
     STREAM_STATE_FILE = "stream_state.json"
     STREAM_DIR = "stream"
 
@@ -53,122 +40,28 @@ class CheckpointManager:
         self.checkpoint_dir = Path(checkpoint_dir)
         self.enabled = enabled
 
-    # ------------------------------------------------------------------
-    # Run-level checkpoints
-    # ------------------------------------------------------------------
-    def exists(self) -> bool:
-        """Return True when a complete checkpoint is present on disk."""
-        return (
-            self.enabled
-            and (self.checkpoint_dir / self.STATE_FILE).exists()
-            and (self.checkpoint_dir / self.DATA_FILE).exists()
-        )
-
-    def save(
-        self,
-        dataset: NestedDataset,
-        op_index: int,
-        op_names: list[str],
-        op_hashes: list[str] | None = None,
-    ) -> None:
-        """Persist the dataset and the index of the last completed operator.
-
-        ``op_hashes`` are per-op digests of each operator's ``config()``;
-        a later resume is only honoured when the hash prefix still matches,
-        so re-running after editing an op's parameters re-executes instead
-        of silently reusing stale data.
-        """
-        if not self.enabled:
-            return
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        data_path = self.checkpoint_dir / self.DATA_FILE
-        sanitizer = JsonSanitizer()
-        # both files are written atomically (tmp + os.replace), data before
-        # state: a crash at any point leaves either no new checkpoint or a
-        # complete one, never a state file pointing at truncated data
-        temp_data = data_path.with_name(data_path.name + ".tmp")
-        with temp_data.open("w", encoding="utf-8") as handle:
-            for row in dataset:
-                handle.write(sanitizer.dumps(row, ensure_ascii=False) + "\n")
-        os.replace(temp_data, data_path)
-        sanitizer.warn(f"checkpoint {data_path}")
-        state = {
-            "op_index": op_index,
-            "op_names": op_names,
-            "op_hashes": list(op_hashes) if op_hashes is not None else None,
-            "num_rows": len(dataset),
-            "fingerprint": dataset.fingerprint,
-        }
-        atomic_write_text(
-            self.checkpoint_dir / self.STATE_FILE, json.dumps(state, indent=2)
-        )
-
-    def read_state(self) -> dict | None:
-        """Return the saved checkpoint state dict, or ``None`` when absent.
-
-        A corrupt state file (e.g. from a crash predating atomic writes)
-        reads as ``None`` — the run re-executes from scratch instead of
-        failing on resume.
-        """
-        path = self.checkpoint_dir / self.STATE_FILE
-        if not (self.enabled and path.exists()):
-            return None
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
-            return None
-
-    def load(self) -> tuple[NestedDataset, int, list[str]]:
-        """Load the checkpointed dataset and pipeline position.
-
-        Raises :class:`CheckpointError` when no checkpoint is available.
-        """
-        if not self.exists():
-            raise CheckpointError(f"no checkpoint found under {self.checkpoint_dir}")
-        state = self.read_state()
-        if state is None:
-            raise CheckpointError(
-                f"checkpoint state under {self.checkpoint_dir} is unreadable"
-            )
-        rows = []
-        with (self.checkpoint_dir / self.DATA_FILE).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-        # restore the saved fingerprint: with incremental fingerprints the
-        # content probe of from_list could never match what the original run
-        # stamped, and every downstream cache key would miss after a resume
-        dataset = NestedDataset.from_list(rows, fingerprint=state.get("fingerprint"))
-        return dataset, int(state["op_index"]), list(state.get("op_names", []))
-
-    def clear(self) -> None:
-        """Remove any existing run-level checkpoint files."""
-        for name in (self.STATE_FILE, self.DATA_FILE):
-            path = self.checkpoint_dir / name
-            if path.exists():
-                path.unlink()
-
-    # ------------------------------------------------------------------
-    # Shard-level (streaming) checkpoints
-    # ------------------------------------------------------------------
     @property
     def stream_dir(self) -> Path:
-        """Directory holding the streaming run's spilled shards."""
+        """Directory holding the run's spilled shards."""
         return self.checkpoint_dir / self.STREAM_DIR
 
     def load_stream_state(self) -> dict | None:
-        """Return the persisted streaming state, or ``None`` when absent."""
+        """Return the persisted state, or ``None`` when absent.
+
+        A state file that cannot be read or decoded (truncated JSON, bytes
+        that are not UTF-8) also reads as ``None``: the run starts over
+        instead of failing on resume.
+        """
         path = self.checkpoint_dir / self.STREAM_STATE_FILE
-        if not (self.enabled and path.exists()):
+        if not self.enabled:
             return None
         try:
             return json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
+        except (ValueError, OSError):
             return None
 
     def save_stream_state(self, state: dict) -> None:
-        """Persist the streaming state (op hashes, shard budget, progress)."""
+        """Persist the state (op hashes, shard budget, input signature)."""
         if not self.enabled:
             return
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
@@ -177,7 +70,7 @@ class CheckpointManager:
         )
 
     def clear_stream(self) -> None:
-        """Drop the streaming state file and every spilled shard."""
+        """Drop the state file and every spilled shard."""
         from repro.core.stream import ShardStore
 
         path = self.checkpoint_dir / self.STREAM_STATE_FILE

@@ -38,7 +38,7 @@ class RecipeConfig:
     #: op's own setting (execution tuning only — results are identical)
     batch_size: int | None = None
     #: run the pipeline shard-by-shard with bounded memory (``Executor.
-    #: run_streaming`` / CLI ``--stream``); results match the in-memory path
+    #: run_streaming`` / CLI ``--stream``); results match ``Executor.run``
     stream: bool = False
     #: shard budget of the streaming run mode: a shard closes when it reaches
     #: ``max_shard_rows`` rows or ``max_shard_chars`` text characters,

@@ -1,36 +1,42 @@
 """The end-to-end pipeline executor tying together every core component.
 
 ``Executor`` takes a validated :class:`~repro.core.config.RecipeConfig` and
-runs the full pipeline: load/unify the dataset via a Formatter, instantiate the
-operator list, optionally fuse and reorder operators, execute them with cache,
+runs the full pipeline: load/unify the input via a Formatter, instantiate the
+operator list, optionally fuse operators, execute them with cache,
 checkpoint and tracing support, and export the processed dataset.
 
-When the recipe sets ``np > 1`` the executor lazily creates a persistent
-:class:`repro.parallel.WorkerPool` (workers hold the instantiated op list) and
-routes every Mapper/Filter stage through it as row chunks; dataset-level
-operators (Deduplicators, Selectors) still run globally on the merged data.
-The pool survives across ``run`` calls — close the executor (or use it as a
-context manager) to shut the workers down.
+There is one execution path.  ``run()`` (in memory) and ``run_streaming()``
+(out of core) are front doors over the same shard stages of
+:mod:`repro.core.stream`; they differ only in the input reader and the shard
+budget.  ``run()`` loads the whole input and treats it as one unbounded
+shard, kept in memory between stages; ``run_streaming()`` reads shards
+lazily under the recipe's budget and spills them to disk.  Either way
+Mappers/Filters run shard-local, Deduplicators/Selectors resolve globally
+over skinny signature rows, ``use_cache`` replays shard outputs and global
+resolves by content, ``use_checkpoint`` resumes from the shard spill, and
+the :class:`repro.core.tracer.Tracer` accumulates across shards.
 
-Every run — in-memory or streaming — emits a unified
-:class:`repro.core.report.RunReport` (``last_report``, also persisted to
-``<work_dir>/report.json``): per-op rows in/out, wall time, throughput and
-peak RSS from the :class:`repro.core.monitor.RunProfiler`, plus cache
-counters, the tracer summary and the run-level resource profile.  Streaming
-runs reach observability parity with the in-memory path: the tracer
-accumulates incrementally across shards (:class:`repro.core.tracer.
-StreamingTracer`) and ``use_cache`` replays cached *shard* outputs keyed on
-``(op fingerprint chain, shard signature)``.
+When the recipe sets ``np > 1`` the executor lazily creates a persistent
+:class:`repro.parallel.WorkerPool` (workers hold the instantiated op list)
+and routes every batched stage through it.  The pool survives across runs —
+close the executor (or use it as a context manager) to shut the workers down.
+
+Every run emits a unified :class:`repro.core.report.RunReport`
+(``last_report``, also persisted to ``<work_dir>/report.json``): per-op rows
+in/out, wall time, throughput and peak RSS from the
+:class:`repro.core.monitor.RunProfiler`, plus shard progress, cache
+counters, the tracer summary and the run-level resource profile.
 """
 
 from __future__ import annotations
 
 import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.base_op import Deduplicator, Filter, Mapper, Selector, op_category
+from repro.core.base_op import Deduplicator, Selector, op_category
 from repro.core.cache import CacheManager
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import RecipeConfig, load_config
@@ -51,7 +57,9 @@ from repro.core.planner import ExecutionPlan, ResourceBudget, plan_execution
 from repro.core.report import REPORT_FILE, RunReport
 from repro.core.sample import Fields, HashKeys
 from repro.core.stream import (
+    DEFAULT_SHARD_ROWS,
     ROW_ID_COLUMN,
+    MemoryShardStore,
     ShardStore,
     StreamSegment,
     apply_keep_mask,
@@ -59,11 +67,11 @@ from repro.core.stream import (
     op_config_hash,
     plan_segments,
     resolve_global_keep,
-    run_sample_ops,
+    shard_signature,
     signature_column_names,
     stage_chain_hash,
 )
-from repro.core.tracer import StreamingTracer, Tracer
+from repro.core.tracer import Tracer
 from repro.parallel import WorkerPool
 
 
@@ -92,11 +100,8 @@ class Executor:
 
         self.cfg = load_config(config)
         work_dir = Path(self.cfg.work_dir)
-        self.tracer = (
-            Tracer(show_num=self.cfg.trace_num, trace_dir=work_dir / "trace")
-            if self.cfg.open_tracer
-            else None
-        )
+        #: the tracer of the most recent run (None unless ``open_tracer``)
+        self.tracer: Tracer | None = None
         self.cache = CacheManager(
             cache_dir=self.cfg.cache_dir or (work_dir / "cache"),
             compression=self.cfg.cache_compression,
@@ -119,7 +124,6 @@ class Executor:
         self._pool: WorkerPool | None = None
         self._shared_pool = bool(shared_pool)
         self._profiler = RunProfiler()
-        self._stream_tracer: StreamingTracer | None = None
         #: the fault policy of every run of this executor (from the recipe)
         self.policy = ErrorPolicy.from_config(self.cfg)
         self._faults = FaultTracker()
@@ -215,15 +219,6 @@ class Executor:
             raise ValueError("no dataset given and no dataset_path configured")
         return load_dataset(self.cfg.dataset_path, text_keys=tuple(self.cfg.text_keys))
 
-    def _cache_counters(self) -> dict[str, int]:
-        """Both cache granularities' hit/miss counters (for run reports)."""
-        return {
-            "hits": self.cache.hits,
-            "misses": self.cache.misses,
-            "shard_hits": self.cache.shard_hits,
-            "shard_misses": self.cache.shard_misses,
-        }
-
     def _parallel_payload(self) -> dict:
         """The report's ``parallel`` section.
 
@@ -288,10 +283,9 @@ class Executor:
         :class:`repro.api.Pipeline` and ``repro process --mode``: the
         :func:`repro.core.planner.plan_execution` decision (stored as
         ``last_plan`` and embedded in the report's ``planner`` section)
-        dispatches to :meth:`run` or :meth:`run_streaming`, replacing the
-        caller-side fork between them.  Results are identical either way —
-        the streaming engine's exports are byte-identical to the in-memory
-        engine's.
+        picks the input reader and shard budget by dispatching to
+        :meth:`run` or :meth:`run_streaming`.  Both run the same stages, so
+        results are identical either way.
         """
         requested = mode
         if shard_output:
@@ -324,122 +318,176 @@ class Executor:
         return self.last_report
 
     def run(self, dataset: NestedDataset | None = None) -> NestedDataset:
-        """Execute the configured pipeline and return the processed dataset.
+        """Execute the pipeline in memory and return the processed dataset.
 
-        Besides the dataset, the run emits a :class:`RunReport`
-        (``last_report``, persisted to ``<work_dir>/report.json``) with one
-        per-op section each covering rows in/out, wall time and throughput.
+        The input is loaded whole (``load_dataset``) and runs through the
+        shard stages as one unbounded shard; the rows of the final shard are
+        exported with :meth:`Exporter.export` and returned.  The run's
+        :class:`RunReport` is kept as ``last_report`` and persisted to
+        ``<work_dir>/report.json``.
+        """
+        return self._run(dataset, memory=True)
+
+    def run_streaming(
+        self, dataset: NestedDataset | None = None, shard_output: bool = False
+    ) -> RunReport:
+        """Execute the pipeline shard-by-shard with bounded memory.
+
+        The input is streamed into shards capped by the recipe's
+        ``max_shard_rows`` / ``max_shard_chars`` budget and every stored
+        shard is spilled to disk, so no stage holds more than one shard of
+        payload.  Output rows stream straight into the :class:`Exporter` —
+        with ``shard_output`` they are written as size-capped output shards.
+        Results are row-identical to :meth:`run` (byte-identical exports).
+
+        Returns the unified :class:`RunReport` (also stored as
+        ``last_report``) instead of a materialised dataset.
+        """
+        self._run(dataset, memory=False, shard_output=shard_output)
+        return self.last_report
+
+    # ------------------------------------------------------------------
+    # The shard stages (both front doors)
+    # ------------------------------------------------------------------
+    def _run(
+        self, dataset: NestedDataset | None, memory: bool, shard_output: bool = False
+    ) -> NestedDataset | None:
+        """Run every pipeline stage over the input shards, export, report.
+
+        ``memory`` picks the input reader and the shard budget: the whole
+        input as one unbounded shard, or shards streamed from the formatter
+        under the recipe's budget.  Mappers and Filters run shard-local on
+        the batched columnar engine (worker-pool dispatch included), while
+        Deduplicators and Selectors resolve globally via the two-pass
+        signature strategy (see :mod:`repro.core.stream`).
+
+        With ``use_checkpoint`` every stage's shards are spilled under the
+        checkpoint directory, so an interrupted run resumes mid-corpus; with
+        ``use_cache`` every shard's stage output and every global resolve is
+        cached by content and replayed on unchanged inputs; with
+        ``open_tracer`` the :class:`Tracer` accumulates per-op counts and
+        bounded examples across shards.  Returns the collected dataset of a
+        memory run, ``None`` for a streaming run.
         """
         monitor = ResourceMonitor()
-        profiler = self._profiler = RunProfiler()
+        self._profiler = RunProfiler()
+        tracer = self.tracer = (
+            Tracer(show_num=self.cfg.trace_num, trace_dir=Path(self.cfg.work_dir) / "trace")
+            if self.cfg.open_tracer
+            else None
+        )
+        progress = dict.fromkeys(
+            ("input_shards", "resumed_shards", "executed_shards", "cached_shards"), 0
+        )
+        collected: NestedDataset | None = None
         export_paths: list[str] = []
+        total_rows = 0
         self._begin_faults()
-        try:
-            with monitor:
-                current = self._load_input(dataset)
-                start_index = 0
-                op_names = [op.name for op in self.ops]
-                op_hashes = [op_config_hash(op) for op in self.ops]
-
-                if self.checkpoint.enabled and self.checkpoint.exists():
-                    # Validate the cheap state file before parsing the
-                    # (possibly huge) checkpointed dataset: resume only when
-                    # both the op-name prefix *and* the per-op config hashes
-                    # match — a recipe whose parameters changed must
-                    # re-execute instead of silently reusing data produced by
-                    # the old configuration.  A corrupt state file reads as
-                    # None and the run starts over.
-                    state = self.checkpoint.read_state()
-                    if state:
-                        op_index = int(state.get("op_index", 0))
-                        saved_names = list(state.get("op_names", []))
-                        saved_hashes = state.get("op_hashes") or []
-                        if (
-                            saved_names[:op_index] == op_names[:op_index]
-                            and saved_hashes[:op_index] == op_hashes[:op_index]
-                        ):
-                            restored, op_index, _names = self.checkpoint.load()
-                            current, start_index = restored, op_index
-
-                # index one past the last op whose result the checkpoint
-                # holds; cache-hit streaks defer their save (a resume from an
-                # older checkpoint just replays the same cache hits), so a
-                # warm-cache run pays one checkpoint write instead of one per
-                # cached op
-                saved_index = start_index
-                for index in range(start_index, len(self.ops)):
-                    op = self.ops[index]
-                    cache_key = CacheManager.make_key(
-                        current.fingerprint, op.name, op.config()
-                    )
-                    cached = self.cache.load(cache_key)
-                    if cached is not None:
-                        profiler.record_cached(op, len(cached))
-                        current = cached
-                        continue
-                    faults_before = self._faults.total_faults
-                    with profiler.track(op, rows_in=len(current)) as tracking:
-                        if isinstance(op, (Mapper, Filter, Deduplicator)):
-                            # pool creation is deferred to the first actually-
-                            # executed op with a sample-level stage, so fully
-                            # cache-hit runs never fork workers (a
-                            # Deduplicator's hashing stage is sample-level;
-                            # its clustering stays global)
-                            current = run_op_with_policy(
-                                op, current, self.policy, self._faults,
-                                self._quarantine, tracer=self.tracer,
-                                pool=self._ensure_pool(),
-                            )
-                        else:
-                            current = run_op_with_policy(
-                                op, current, self.policy, self._faults,
-                                self._quarantine, tracer=self.tracer,
-                            )
-                        tracking.rows_out = len(current)
-                    if self._faults.total_faults == faults_before:
-                        # fault-shaped results must never enter the clean-run
-                        # cache (the checkpoint still records actual progress)
-                        self.cache.save(cache_key, current)
-                    self.checkpoint.save(current, index + 1, op_names, op_hashes)
-                    saved_index = index + 1
-                if saved_index < len(self.ops):
-                    # the run ended on a cache-hit streak: persist the final
-                    # state once so a later resume restarts past it, not at a
-                    # stale index
-                    self.checkpoint.save(current, len(self.ops), op_names, op_hashes)
-
-                if self.cfg.export_path:
-                    export_paths = [
-                        str(
-                            Exporter(
-                                self.cfg.export_path,
-                                keep_stats=self.cfg.keep_stats_in_export,
-                            ).export(current)
+        with monitor:
+            segments = plan_segments(self.ops)
+            if tracer is not None:
+                # registration order is record (= summary) order, even for
+                # ops an empty input never reaches
+                for op in self.ops:
+                    tracer.register(op.name, self._trace_type(op))
+            formatter = None
+            if memory:
+                dataset = self._load_input(dataset)
+                shard_rows = shard_chars = None
+                source: Iterator[NestedDataset] = iter([dataset] if len(dataset) else [])
+            else:
+                shard_rows, shard_chars = self.cfg.max_shard_rows, self.cfg.max_shard_chars
+                formatter = self._input_formatter() if dataset is None else None
+                source = self._input_shards(dataset, formatter, shard_rows, shard_chars)
+            store, persistent = self._open_store(memory, dataset, formatter)
+            try:
+                source = self._count_shards(source, progress)
+                for stage, segment in enumerate(segments):
+                    if segment.global_op is not None:
+                        source = self._resolved_stage(stage, segment, source, store, progress)
+                    else:
+                        # the final segment spills only when checkpointing,
+                        # so a crash during export still resumes mid-corpus
+                        source = self._local_stage(
+                            stage, segment, source, store if persistent else None, progress
                         )
-                    ]
-        finally:
-            self._end_faults()
+                if memory:
+                    shards = list(source)
+                    collected = (
+                        shards[0] if len(shards) == 1 else NestedDataset.concatenate(shards)
+                    )
+                    total_rows = len(collected)
+                    if self.cfg.export_path:
+                        exporter = Exporter(
+                            self.cfg.export_path, keep_stats=self.cfg.keep_stats_in_export
+                        )
+                        export_paths = [str(exporter.export(collected))]
+                else:
+                    total_rows, export_paths = self._export_stream(
+                        source, shard_output, shard_rows, shard_chars
+                    )
+            finally:
+                self._end_faults()
+                if not persistent:
+                    # failed runs must not leak a pickled copy of the corpus
+                    store.clear()
+                    if isinstance(store, ShardStore):
+                        store.root.rmdir()
+
         self.last_report = RunReport(
-            mode="memory",
+            mode="memory" if memory else "streaming",
             plan=self.plan,
-            num_output_samples=len(current),
-            ops=profiler.reports(),
-            resources=monitor.report.as_dict() if monitor.report else {},
-            cache=self._cache_counters(),
-            trace=self.tracer.summary() if self.tracer else [],
-            parallel=self._parallel_payload(),
+            num_output_samples=total_rows,
+            ops=self._profiler.reports(),
+            segments=len(segments),
+            shards=progress,
+            shard_budget={"max_shard_rows": shard_rows, "max_shard_chars": shard_chars},
             export_paths=export_paths,
+            resources=monitor.report.as_dict() if monitor.report else {},
+            cache=self.cache.counters(),
+            trace=tracer.summary() if tracer else [],
+            parallel=self._parallel_payload(),
             planner=self._planner_payload,
             faults=self._faults_payload(),
         )
         self._persist_report(self.last_report)
-        return current
+        return collected
 
-    # ------------------------------------------------------------------
-    # Streaming (out-of-core) execution
-    # ------------------------------------------------------------------
+    def _export_stream(
+        self,
+        source: Iterator[NestedDataset],
+        shard_output: bool,
+        shard_rows: int | None,
+        shard_chars: int | None,
+    ) -> tuple[int, list[str]]:
+        """Stream the final shards into the exporter; returns (rows, paths)."""
+        total_rows = 0
+
+        def final_rows() -> Iterator[dict]:
+            nonlocal total_rows
+            for shard in source:
+                total_rows += len(shard)
+                yield from shard
+
+        if not self.cfg.export_path:
+            for _row in final_rows():
+                pass
+            return total_rows, []
+        if shard_output and shard_rows is None and shard_chars is None:
+            # a shard-output request with no explicit budget still shards, at
+            # the same default the input chunker applies
+            shard_rows = DEFAULT_SHARD_ROWS
+        exporter = Exporter(
+            self.cfg.export_path,
+            keep_stats=self.cfg.keep_stats_in_export,
+            shard_rows=shard_rows if shard_output else None,
+            shard_chars=shard_chars if shard_output else None,
+        )
+        paths = [str(path) for path in exporter.export_stream(final_rows())]
+        return total_rows, paths
+
     def _input_formatter(self) -> Any:
-        """Build the input formatter once per streaming run (one path walk)."""
+        """Build the streaming input formatter once per run (one path walk)."""
         from repro.formats.load import load_formatter
 
         if not self.cfg.dataset_path:
@@ -447,19 +495,17 @@ class Executor:
         return load_formatter(self.cfg.dataset_path, text_keys=tuple(self.cfg.text_keys))
 
     def _input_signature(self, dataset: NestedDataset | None, formatter: Any) -> dict:
-        """Identity of the streaming input, guarding shard-checkpoint reuse.
+        """Identity of the run's input, guarding checkpoint reuse.
 
-        For file inputs the signature digests the resolved shard list with
-        each file's size and mtime, so editing (or re-sharding) the input
-        invalidates the spilled shards instead of silently resuming over
-        stale data.
+        An in-memory dataset is digested value by value, so editing any row
+        invalidates the spill.  For file inputs the signature digests the
+        resolved shard list with each file's size and mtime, so editing (or
+        re-sharding) the input does too, without reading it twice.
         """
-        from repro.core.dataset import _stable_hash
-
         if dataset is not None:
-            return {"fingerprint": dataset.fingerprint}
+            return {"content": shard_signature(dataset)}
         files = []
-        for path in getattr(formatter, "resolve_paths", lambda: [])():
+        for path in formatter.resolve_paths():
             stat = path.stat()
             files.append([str(path), stat.st_size, stat.st_mtime_ns])
         return {
@@ -468,189 +514,63 @@ class Executor:
             "files_digest": _stable_hash(files),
         }
 
+    def _open_store(
+        self, memory: bool, dataset: NestedDataset | None, formatter: Any
+    ) -> tuple[ShardStore | MemoryShardStore, bool]:
+        """The run's shard store, and whether it persists past the run.
+
+        With ``use_checkpoint`` the store is the checkpoint spill, reused
+        only while the recipe, shard budget and input are unchanged.  Without
+        it an in-memory run keeps its shards in a dict, and a streaming run
+        spills to a directory unique to the run.
+        """
+        if self.checkpoint.enabled:
+            expected_state = {
+                "op_hashes": [op_config_hash(op) for op in self.ops],
+                "reader": "memory" if memory else "streaming",
+                "max_shard_rows": None if memory else self.cfg.max_shard_rows,
+                "max_shard_chars": None if memory else self.cfg.max_shard_chars,
+                "input": self._input_signature(dataset, formatter),
+            }
+            if self.checkpoint.load_stream_state() != expected_state:
+                # recipe, shard budget or input changed: the spilled shards
+                # describe a different run and must not be reused
+                self.checkpoint.clear_stream()
+                self.checkpoint.save_stream_state(expected_state)
+            return ShardStore(self.checkpoint.stream_dir), True
+        if memory:
+            return MemoryShardStore(), False
+        # unique per run: concurrent runs sharing a work_dir must not clear
+        # or read each other's shards
+        spill_root = Path(self.cfg.work_dir) / "stream-spill"
+        spill_root.mkdir(parents=True, exist_ok=True)
+        return ShardStore(tempfile.mkdtemp(prefix="run-", dir=spill_root)), False
+
     def _input_shards(
         self,
         dataset: NestedDataset | None,
         formatter: Any,
         shard_rows: int | None,
         shard_chars: int | None,
-    ) -> Iterator[list[dict]]:
+    ) -> Iterator[NestedDataset]:
         """Lazily chunk the input into bounded shards, never materialising it."""
         records: Any = iter(dataset) if dataset is not None else formatter.iter_records()
-        return iter_record_shards(
+        for rows in iter_record_shards(
             records, max_rows=shard_rows, max_chars=shard_chars, text_key=Fields.text
-        )
-
-    def run_streaming(
-        self, dataset: NestedDataset | None = None, shard_output: bool = False
-    ) -> dict[str, Any]:
-        """Execute the pipeline shard-by-shard with bounded memory.
-
-        The input is streamed into shards capped by the recipe's
-        ``max_shard_rows`` / ``max_shard_chars`` budget; Mappers and Filters
-        run shard-local on the batched columnar engine (worker-pool dispatch
-        included), while Deduplicators and Selectors resolve globally via the
-        two-pass signature strategy (see :mod:`repro.core.stream`).  Output
-        rows stream straight into the :class:`Exporter` — with
-        ``shard_output`` they are written as size-capped output shards.
-
-        Every processed shard is spilled to disk; with ``use_checkpoint``
-        the spill persists under the checkpoint directory, so an interrupted
-        run resumes mid-corpus, skipping every shard already processed.
-        Results are row-identical to :meth:`run` (byte-identical exports).
-
-        Observability matches the in-memory path: with ``use_cache`` every
-        shard's stage output is cached keyed on ``(op fingerprint chain,
-        shard signature)`` and replayed instead of recomputed on unchanged
-        inputs; with ``open_tracer`` a :class:`~repro.core.tracer.
-        StreamingTracer` accumulates per-op kept/dropped/changed counts and
-        bounded example reservoirs across shards; and the per-op
-        :class:`~repro.core.monitor.RunProfiler` sections aggregate wall
-        time, rows/sec and peak RSS over every executed shard.
-
-        Returns the unified :class:`RunReport` (also stored as
-        ``last_report`` and persisted to ``<work_dir>/report.json``) instead
-        of a materialised dataset.
-        """
-        monitor = ResourceMonitor()
-        profiler = self._profiler = RunProfiler()
-        work_dir = Path(self.cfg.work_dir)
-        tracer = self._stream_tracer = (
-            StreamingTracer(show_num=self.cfg.trace_num, trace_dir=work_dir / "trace")
-            if self.cfg.open_tracer
-            else None
-        )
-        self._begin_faults()
-        with monitor:
-            segments = plan_segments(self.ops)
-            op_hashes = [op_config_hash(op) for op in self.ops]
-            if tracer is not None:
-                # pre-register every op so accumulator (= summary) order is
-                # pipeline order even for ops an empty input never reaches
-                for op in self.ops:
-                    tracer.register(op.name, self._trace_type(op))
-            shard_rows, shard_chars = self.cfg.max_shard_rows, self.cfg.max_shard_chars
-            progress = {
-                "input_shards": 0,
-                "resumed_shards": 0,
-                "executed_shards": 0,
-                "cached_shards": 0,
-            }
-            formatter = self._input_formatter() if dataset is None else None
-
-            persistent = self.checkpoint.enabled
-            if persistent:
-                store = ShardStore(self.checkpoint.stream_dir)
-                expected_state = {
-                    "op_hashes": op_hashes,
-                    "max_shard_rows": shard_rows,
-                    "max_shard_chars": shard_chars,
-                    "input": self._input_signature(dataset, formatter),
-                }
-                if self.checkpoint.load_stream_state() != expected_state:
-                    # recipe, shard budget or input changed: the spilled
-                    # shards describe a different run and must not be reused
-                    self.checkpoint.clear_stream()
-                    self.checkpoint.save_stream_state(expected_state)
-            else:
-                # per-run unique spill directory: concurrent non-checkpointed
-                # runs sharing a work_dir must not clear or read each other's
-                # shards
-                spill_root = Path(self.cfg.work_dir) / "stream-spill"
-                spill_root.mkdir(parents=True, exist_ok=True)
-                store = ShardStore(tempfile.mkdtemp(prefix="run-", dir=spill_root))
-
-            try:
-                source = self._count_shards(
-                    self._input_shards(dataset, formatter, shard_rows, shard_chars), progress
-                )
-                for stage, segment in enumerate(segments):
-                    if segment.global_op is None:
-                        # only the final segment can lack a global op; its
-                        # shards flow straight through (spilled when
-                        # checkpointing, so a crash during export still
-                        # resumes mid-corpus)
-                        if persistent:
-                            source = self._spilled_stage(
-                                stage, segment, source, store, progress
-                            )
-                        else:
-                            source = self._transformed_stage(
-                                stage, segment, source, progress
-                            )
-                    else:
-                        source = self._resolved_stage(stage, segment, source, store, progress)
-
-                total_rows = 0
-                export_paths: list[str] = []
-
-                def final_rows() -> Iterator[dict]:
-                    nonlocal total_rows
-                    for shard in source:
-                        total_rows += len(shard)
-                        yield from shard
-
-                if self.cfg.export_path:
-                    # a shard-output request with no explicit budget still
-                    # shards, at the same default the input chunker applies
-                    export_rows, export_chars = shard_rows, shard_chars
-                    if shard_output and export_rows is None and export_chars is None:
-                        from repro.core.stream import DEFAULT_SHARD_ROWS
-
-                        export_rows = DEFAULT_SHARD_ROWS
-                    exporter = Exporter(
-                        self.cfg.export_path,
-                        keep_stats=self.cfg.keep_stats_in_export,
-                        shard_rows=export_rows if shard_output else None,
-                        shard_chars=export_chars if shard_output else None,
-                    )
-                    export_paths = [str(path) for path in exporter.export_stream(final_rows())]
-                else:
-                    for _row in final_rows():
-                        pass
-            finally:
-                self._end_faults()
-                if not persistent:
-                    # failed runs must not leak a pickled copy of the corpus
-                    store.clear()
-                    store.root.rmdir()
-
-        if tracer is not None:
-            tracer.finalize()
-        self.last_report = RunReport(
-            mode="streaming",
-            plan=self.plan,
-            num_output_samples=total_rows,
-            ops=profiler.reports(),
-            segments=len(segments),
-            shards=dict(progress),
-            shard_budget={"max_shard_rows": shard_rows, "max_shard_chars": shard_chars},
-            export_paths=export_paths,
-            resources=monitor.report.as_dict() if monitor.report else {},
-            cache=self._cache_counters(),
-            trace=tracer.summary() if tracer else [],
-            parallel=self._parallel_payload(),
-            planner=self._planner_payload,
-            faults=self._faults_payload(),
-        )
-        self._persist_report(self.last_report)
-        return self.last_report
+        ):
+            yield NestedDataset.from_list(rows)
 
     @staticmethod
     def _count_shards(
-        shards: Iterator[list[dict]], progress: dict[str, int]
-    ) -> Iterator[list[dict]]:
+        shards: Iterator[NestedDataset], progress: dict[str, int]
+    ) -> Iterator[NestedDataset]:
         for shard in shards:
             progress["input_shards"] += 1
             yield shard
 
     @staticmethod
     def _trace_type(op: Any) -> str:
-        """Trace-record type label of an op (matches the in-memory tracer).
-
-        The in-memory path records Selectors through ``trace_filter`` — the
-        streaming tracer mirrors that so summaries compare structurally.
-        """
+        """Trace-record type label of an op (Selectors trace as filters)."""
         if isinstance(op, Deduplicator):
             return "deduplicator"
         if isinstance(op, Selector):
@@ -662,31 +582,34 @@ class Executor:
         """Human-readable shard id used in fault records and error messages."""
         return f"stage{stage}:shard{index:05d}"
 
+    def _shard_key(self, chain: str, shard: NestedDataset) -> str | None:
+        """Cache key of one shard's stage output (None with the cache off)."""
+        if not self.cache.enabled:
+            return None
+        return CacheManager.make_shard_key(chain, shard_signature(shard))
+
     def _execute_shard(
         self,
         segment: StreamSegment,
-        chain: str,
-        rows: list[dict],
+        cache_key: str | None,
+        shard: NestedDataset,
         progress: dict[str, int],
         shard_id: str | None = None,
-    ) -> list[dict]:
+    ) -> NestedDataset:
         """One shard's shard-local work (sample ops + dedup hashing), cached.
 
-        With ``use_cache`` the shard's stage output is keyed on
-        ``(op fingerprint chain, shard signature)``; a hit replays the rows
-        without touching any operator (counted per op as a cached call and
-        per run as a ``cached_shards`` shard).
+        With ``use_cache`` (a ``cache_key``) a hit replays the shard without
+        touching any operator (counted per op as a cached call and per run
+        as a ``cached_shards`` shard).
 
         Failures are contained per shard: sample-op errors are handled row-
-        wise by the error policy inside :func:`run_sample_ops`; anything that
-        still escapes (the dedup hashing stage has no row-isolated fallback)
-        retries the whole shard, and under a lenient policy a persistently
-        failing shard is dropped/quarantined whole instead of wedging the
-        run.  Fault-shaped shard output never enters the shard cache.
+        wise by the error policy inside :func:`run_op_with_policy`; anything
+        that still escapes (the dedup hashing stage has no row-isolated
+        fallback) retries the whole shard, and under a lenient policy a
+        persistently failing shard is dropped/quarantined whole instead of
+        wedging the run.  Fault-shaped shard output never enters the cache.
         """
-        cache_key = None
-        if self.cache.enabled:
-            cache_key = CacheManager.make_shard_key(chain, _stable_hash(rows))
+        if cache_key is not None:
             cached = self.cache.load_shard_rows(cache_key)
             if cached is not None:
                 for op in segment.sample_ops:
@@ -702,7 +625,7 @@ class Executor:
         attempt = 0
         while True:
             try:
-                out_rows = self._run_shard_ops(segment, rows, shard_id)
+                out = self._run_shard_ops(segment, shard, shard_id)
                 break
             except OpExecutionError:
                 # already contextualised by the per-op policy layer (raise
@@ -724,33 +647,35 @@ class Executor:
                 # persistent shard failure under a lenient policy: drop the
                 # shard whole (quarantining its rows when configured) so the
                 # rest of the corpus still completes
-                self._faults.record_dropped_shard(shard_id, len(rows))
+                self._faults.record_dropped_shard(shard_id, len(shard))
                 if self._quarantine is not None:
                     self._quarantine.write_rows(
-                        rows, stage_name, error, shard_id=shard_id
+                        shard, stage_name, error, shard_id=shard_id
                     )
-                out_rows = []
+                out = NestedDataset.empty()
                 break
         if cache_key is not None and self._faults.total_faults == faults_before:
-            self.cache.save_shard_rows(cache_key, out_rows)
+            self.cache.save_shard_rows(cache_key, out)
         progress["executed_shards"] += 1
-        return out_rows
+        return out
 
     def _run_shard_ops(
-        self, segment: StreamSegment, rows: list[dict], shard_id: str | None
-    ) -> list[dict]:
-        """Run one shard through its segment's sample ops + dedup hashing."""
-        shard = run_sample_ops(
-            rows,
-            segment.sample_ops,
-            pool_factory=self._ensure_pool,
-            profiler=self._profiler,
-            tracer=self._stream_tracer,
-            policy=self.policy,
-            faults=self._faults,
-            quarantine=self._quarantine,
-            shard_id=shard_id,
-        )
+        self, segment: StreamSegment, shard: NestedDataset, shard_id: str | None
+    ) -> NestedDataset:
+        """Run one shard through its segment's sample ops + dedup hashing.
+
+        Every op runs under the error policy (retried, and under a lenient
+        policy row-isolated so one poison row only removes itself); the
+        worker pool is only created when an op actually executes.
+        """
+        for op in segment.sample_ops:
+            pool = self._ensure_pool()
+            with self._profiler.track(op, rows_in=len(shard)) as tracking:
+                shard = run_op_with_policy(
+                    op, shard, self.policy, self._faults, self._quarantine,
+                    tracer=self.tracer, pool=pool, shard_id=shard_id,
+                )
+                tracking.rows_out = len(shard)
         global_op = segment.global_op
         if isinstance(global_op, Deduplicator):
             # the per-sample hashing stage runs shard-local (and
@@ -765,101 +690,131 @@ class Executor:
                     ),
                     pool=self._ensure_pool(),
                 )
-        return shard.to_list()
+        return shard
 
-    def _transformed_stage(
+    def _local_stage(
         self,
         stage: int,
         segment: StreamSegment,
-        source: Iterator[list[dict]],
+        source: Iterator[NestedDataset],
+        store: ShardStore | None,
         progress: dict[str, int],
-    ) -> Iterator[list[dict]]:
-        """Shard-local transform with no spill (checkpointing disabled)."""
-        chain = stage_chain_hash(segment)
-        for index, rows in enumerate(source):
-            yield self._execute_shard(
-                segment, chain, rows, progress, self._shard_label(stage, index)
-            )
+    ) -> Iterator[NestedDataset]:
+        """Shard-local transform of a segment with no global op.
 
-    def _spilled_stage(
-        self,
-        stage: int,
-        segment: StreamSegment,
-        source: Iterator[list[dict]],
-        store: ShardStore,
-        progress: dict[str, int],
-    ) -> Iterator[list[dict]]:
-        """Shard-local transform that spills (and resumes) every shard."""
+        With a ``store`` (the checkpoint spill) every shard is spilled and
+        an already-spilled shard is resumed instead of re-executed.
+        """
         chain = stage_chain_hash(segment)
-        for index, rows in enumerate(source):
-            if store.has_shard(stage, index):
+        for index, shard in enumerate(source):
+            if store is not None and store.has_shard(stage, index):
                 progress["resumed_shards"] += 1
                 yield store.read_shard_rows(stage, index)
                 continue
-            out_rows = self._execute_shard(
-                segment, chain, rows, progress, self._shard_label(stage, index)
+            out = self._execute_shard(
+                segment, self._shard_key(chain, shard), shard, progress,
+                self._shard_label(stage, index),
             )
-            store.write_shard(stage, index, out_rows)
-            yield out_rows
+            if store is not None:
+                store.write_shard(stage, index, out)
+            yield out
 
     def _resolved_stage(
         self,
         stage: int,
-        segment: Any,
-        source: Iterator[list[dict]],
-        store: ShardStore,
+        segment: StreamSegment,
+        source: Iterator[NestedDataset],
+        store: ShardStore | MemoryShardStore,
         progress: dict[str, int],
-    ) -> Iterator[list[dict]]:
+    ) -> Iterator[NestedDataset]:
         """Two-pass execution of a segment closed by a dataset-level op.
 
         Pass one runs eagerly: each shard is transformed, hashed (for
-        Deduplicators), spilled, and its skinny signature rows accumulated.
-        The global op then resolves once over the signatures, and the
-        returned iterator streams the spilled shards back out with the keep
-        mask applied.
+        Deduplicators), stored, and its skinny signature columns
+        accumulated.  The global op then resolves once over the signatures,
+        and the returned iterator streams the stored shards back out with
+        the keep mask applied.
         """
         global_op = segment.global_op
         chain = stage_chain_hash(segment)
-        signature_rows: list[dict] = []
+        text_key = getattr(global_op, "text_key", Fields.text)
+        signature_batches: list[dict] = []
         shard_row_counts: list[int] = []
+        shard_keys: list[str | None] = []
+        faults_before = self._faults.total_faults
+        resumed = False
+        row_count = 0
 
-        for index, rows in enumerate(source):
+        for index, shard in enumerate(source):
             if store.has_shard(stage, index):
                 progress["resumed_shards"] += 1
-                out_rows = store.read_shard_rows(stage, index)
+                resumed = True
+                out = store.read_shard_rows(stage, index)
             else:
-                out_rows = self._execute_shard(
-                    segment, chain, rows, progress, self._shard_label(stage, index)
+                key = self._shard_key(chain, shard)
+                shard_keys.append(key)
+                out = self._execute_shard(
+                    segment, key, shard, progress, self._shard_label(stage, index)
                 )
-                store.write_shard(stage, index, out_rows)
-            shard_row_counts.append(len(out_rows))
-            if out_rows:
-                # every row of a shard carries the same keys (to_list unions
-                # columns shard-wide); keys differing *across* shards are
-                # None-filled by the signature from_list, exactly like the
-                # in-memory dataset's global column union
-                columns = signature_column_names(
-                    global_op, list(out_rows[0].keys()), getattr(global_op, "text_key", Fields.text)
-                )
-                base_id = len(signature_rows)
-                for offset, row in enumerate(out_rows):
-                    skinny = {name: row.get(name) for name in columns}
-                    skinny[ROW_ID_COLUMN] = base_id + offset
-                    signature_rows.append(skinny)
+                store.write_shard(stage, index, out)
+            # columns differing across shards are None-filled when the
+            # signature batches are concatenated, like a whole dataset's
+            # column union
+            if len(out):
+                columns = signature_column_names(global_op, out.column_names, text_key)
+                batch = {name: out.column(name) for name in columns}
+                batch[ROW_ID_COLUMN] = list(range(row_count, row_count + len(out)))
+                signature_batches.append(batch)
+            shard_row_counts.append(len(out))
+            row_count += len(out)
 
-        signature = NestedDataset.from_list(signature_rows)
+        # a resolve over resumed or fault-shaped shards describes rows the
+        # shard keys do not (resumed shards have no key at all): never cache it
+        resolve_key = None
+        if self.cache.enabled and not resumed and self._faults.total_faults == faults_before:
+            resolve_key = CacheManager.make_resolve_key(
+                _stable_hash([chain, op_config_hash(global_op)]),
+                shard_keys,
+                self._pair_budget(global_op),
+            )
+        keep_mask, dropped_columns, pairs = self._resolve(
+            global_op, signature_batches, resolve_key
+        )
+        del signature_batches
+        return self._masked_shards(
+            stage, global_op, store, shard_row_counts, keep_mask, dropped_columns, pairs
+        )
+
+    def _pair_budget(self, global_op: Any) -> int:
+        """Duplicate pairs a resolve keeps for the tracer (0 when untraced)."""
+        if self.tracer is None or not isinstance(global_op, Deduplicator):
+            return 0
+        return self.tracer.show_num
+
+    def _resolve(
+        self, global_op: Any, signature_batches: list[dict], resolve_key: str | None
+    ) -> tuple[list[bool], set[str], list[tuple[int, int]]]:
+        """The global resolve of one stage, replayed from the cache when keyed.
+
+        The resolve has no shard to contain failures to: it retries per the
+        policy, aborts with full context under ``raise``, and under a
+        lenient policy degrades to a keep-everything mask (the conservative
+        outcome — no row is wrongly dropped).
+        """
+        if resolve_key is not None:
+            cached = self.cache.load(resolve_key)
+            if cached is not None:
+                self._profiler.record_cached(global_op, sum(cached[0]))
+                return cached
+        signature = NestedDataset.from_batches(signature_batches)
+        resolve = partial(resolve_global_keep, global_op, signature)
+        pair_budget = self._pair_budget(global_op)
+        if pair_budget:
+            resolve = partial(resolve, show_num=pair_budget)
+        faults_before = self._faults.total_faults
         with self._profiler.track(global_op, rows_in=len(signature)) as tracking:
-            # the global resolve has no shard to contain failures to: retry
-            # per the policy, abort with full context under ``raise``, and
-            # under a lenient policy degrade to a keep-everything mask (the
-            # conservative outcome — no row is wrongly dropped)
             try:
-                keep_mask, dropped_columns = retry_call(
-                    lambda: resolve_global_keep(global_op, signature),
-                    self.policy,
-                    self._faults,
-                    global_op.name,
-                )
+                result = retry_call(resolve, self.policy, self._faults, global_op.name)
             except Exception as error:
                 if not self.policy.lenient:
                     raise OpExecutionError(
@@ -870,44 +825,70 @@ class Executor:
                     f"global resolve of {global_op.name!r} skipped after "
                     f"persistent failure: {error!r}"
                 )
-                keep_mask = [True] * len(signature)
-                dropped_columns = [
-                    name
-                    for name in (HashKeys.hash, HashKeys.minhash, HashKeys.simhash)
-                    if signature_rows and name in signature_rows[0]
-                ]
-            tracking.rows_out = sum(keep_mask)
-        tracer = self._stream_tracer
+                present = set(signature.column_names)
+                result = (
+                    [True] * len(signature),
+                    {name for name in (HashKeys.hash, HashKeys.minhash, HashKeys.simhash)
+                     if name in present},
+                    [],
+                )
+            tracking.rows_out = sum(result[0])
+        if resolve_key is not None and self._faults.total_faults == faults_before:
+            self.cache.save(resolve_key, result)
+        return result
+
+    def _masked_shards(
+        self,
+        stage: int,
+        global_op: Any,
+        store: ShardStore | MemoryShardStore,
+        shard_row_counts: list[int],
+        keep_mask: list[bool],
+        dropped_columns: set[str],
+        pairs: list[tuple[int, int]],
+    ) -> Iterator[NestedDataset]:
+        """Stream the stored shards back out with the keep mask applied.
+
+        The resolve only saw skinny signature rows, so the tracer's examples
+        (with payload) are harvested here: a Deduplicator's duplicate pairs
+        — each original's text is stashed as it passes, and the pair is
+        emitted when its duplicate arrives (originals always come first) —
+        or a Selector's dropped rows, until the bounded reservoir fills.
+        """
+        tracer = self.tracer
         trace_type = self._trace_type(global_op)
         if tracer is not None:
-            tracer.observe_global(
-                global_op.name, trace_type, len(keep_mask), sum(keep_mask)
-            )
-        del signature, signature_rows
-
-        def masked_shards() -> Iterator[list[dict]]:
-            offset = 0
-            for index, count in enumerate(shard_row_counts):
-                rows = store.read_shard_rows(stage, index)
-                mask = keep_mask[offset:offset + count]
-                if tracer is not None and tracer.wants_examples(global_op.name, trace_type):
-                    # the resolve only saw skinny signature rows; harvest
-                    # dropped-row examples (with payload) as shards stream
-                    # back out, until the bounded reservoir fills
-                    for row_offset, (row, keep) in enumerate(zip(rows, mask)):
-                        if keep:
-                            continue
-                        example = {
-                            "index": offset + row_offset,
-                            "discarded": row.get(Fields.text, ""),
-                        }
-                        if not isinstance(global_op, Deduplicator):
-                            example["stats"] = row.get(Fields.stats, {})
-                        if not tracer.add_dropped_example(
-                            global_op.name, trace_type, example
-                        ):
-                            break
-                yield apply_keep_mask(rows, mask, dropped_columns)
-                offset += count
-
-        return masked_shards()
+            tracer.observe_global(global_op.name, trace_type, len(keep_mask), sum(keep_mask))
+        originals = {original for original, _duplicate in pairs}
+        duplicate_of = {duplicate: original for original, duplicate in pairs}
+        stash: dict[int, str] = {}
+        offset = 0
+        for index, count in enumerate(shard_row_counts):
+            shard = store.read_shard_rows(stage, index)
+            mask = keep_mask[offset:offset + count]
+            if duplicate_of:
+                for row_id, row in enumerate(shard, start=offset):
+                    if row_id in originals:
+                        stash[row_id] = row.get(Fields.text, "")
+                    if row_id in duplicate_of:
+                        tracer.add_example(global_op.name, trace_type, {
+                            "original": stash[duplicate_of[row_id]],
+                            "duplicate": row.get(Fields.text, ""),
+                        })
+            elif (
+                tracer is not None
+                and not isinstance(global_op, Deduplicator)
+                and tracer.wants_examples(global_op.name, trace_type)
+            ):
+                for row_id, (row, keep) in enumerate(zip(shard, mask), start=offset):
+                    if keep:
+                        continue
+                    example = {
+                        "index": row_id,
+                        "discarded": row.get(Fields.text, ""),
+                        "stats": row.get(Fields.stats, {}),
+                    }
+                    if not tracer.add_example(global_op.name, trace_type, example):
+                        break
+            yield apply_keep_mask(shard, mask, dropped_columns)
+            offset += count

@@ -1,13 +1,15 @@
-"""Execution planning: pick the physical execution mode for a logical pipeline.
+"""Execution planning: pick the input reader and shard budget for a pipeline.
 
 The fluent :class:`repro.api.Pipeline` (and ``repro process --mode auto``)
 compiles a recipe into a *logical* plan; this module decides how to run it
-physically.  :func:`plan_execution` inspects the input's size and shape plus a
-:class:`ResourceBudget` and chooses between the in-memory engine
-(:meth:`~repro.core.executor.Executor.run` — batched columnar, worker-pooled
-when ``np > 1``) and the out-of-core streaming engine
-(:meth:`~repro.core.executor.Executor.run_streaming`), replacing the old
-caller-side ``run()``-vs-``run_streaming()`` fork.
+physically.  Both front doors of the executor run the same shard stages, so
+the decision only picks the input reader and the shard budget:
+:meth:`~repro.core.executor.Executor.run` loads the whole input and runs it
+as one unbounded shard held in memory ("memory"), while
+:meth:`~repro.core.executor.Executor.run_streaming` reads bounded shards
+lazily and spills them to disk ("streaming").  :func:`plan_execution`
+inspects the input's size and shape plus a :class:`ResourceBudget` and
+chooses between them.
 
 The decision is deterministic and fully explained: the returned
 :class:`ExecutionPlan` records the estimated input bytes, the projected

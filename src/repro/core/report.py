@@ -1,14 +1,15 @@
-"""Unified run reports: one observability surface for every execution mode.
+"""Unified run reports: one observability surface for every run.
 
 Both :meth:`repro.core.executor.Executor.run` (in-memory, serial or
 worker-pool parallel) and :meth:`~repro.core.executor.Executor.run_streaming`
 (out-of-core) emit a :class:`RunReport`: the executed plan, per-operator
-sections (rows in/out, wall time, throughput, peak RSS, cache activity), the
-dataset/shard cache counters, the tracer summary and the run-level resource
-profile.  The report is the programmatic form of the paper's feedback loop —
-the ``repro report`` CLI subcommand renders it as text or JSON, and
-:meth:`repro.analysis.analyzer.Analyzer.analyze_run` consumes it to analyze a
-run's exported output without re-loading the corpus into memory.
+sections (rows in/out, wall time, throughput, peak RSS, cache activity),
+shard progress, the shard/resolve cache counters, the tracer summary and the
+run-level resource profile.  The report is the programmatic form of the
+paper's feedback loop — the ``repro report`` CLI subcommand renders it as
+text or JSON, and :meth:`repro.analysis.analyzer.Analyzer.analyze_run`
+consumes it to analyze a run's exported output without re-loading the corpus
+into memory.
 
 ``RunReport`` is a :class:`collections.abc.Mapping`, so existing code that
 indexes ``executor.last_report`` like a plain dict keeps working unchanged.
@@ -30,8 +31,8 @@ REPORT_FILE = "report.json"
 class OpReport:
     """Per-operator section of a :class:`RunReport`.
 
-    ``rows_in`` / ``rows_out`` aggregate every *executed* call (shards in
-    streaming mode, the whole dataset in memory mode); calls answered from
+    ``rows_in`` / ``rows_out`` aggregate every *executed* call (one per
+    shard; an in-memory run is one shard); calls answered from
     the cache are counted in ``cached_calls`` but contribute no rows, because
     the operator never saw them.
     """
@@ -230,7 +231,7 @@ class RunReport(Mapping):
                 f"  wall time {resources['wall_time_s']:.3f}s, "
                 f"peak RSS {resources.get('max_rss_mb', 0.0):.1f} MB"
             )
-        if self.mode == "streaming" and self.shards is not None:
+        if self.shards is not None:
             budget = self.shard_budget or {}
             lines.append(
                 "  shards: "

@@ -1,9 +1,11 @@
-"""Out-of-core streaming execution: shard chunking, spill store, global resolve.
+"""Shard-wise execution: shard chunking, shard stores, global resolve.
 
-The streaming run mode (``Executor.run_streaming`` / CLI ``--stream``) never
-holds the whole corpus in memory.  Records are drawn lazily from a formatter,
-chunked into bounded *shards* (:func:`iter_record_shards`), and each shard is
-driven through the existing batched columnar engine one at a time.
+Every run of ``Executor`` — ``run()`` and ``run_streaming()`` alike — goes
+through the stages built here.  Records are chunked into *shards*
+(:func:`iter_record_shards`; an in-memory run is the single-shard case with
+an unbounded budget) and each shard travels as a columnar
+:class:`~repro.core.dataset.NestedDataset` through the batched engine, one
+at a time.
 
 Sample-level operators (Mappers, Filters) are embarrassingly shard-parallel.
 Dataset-level operators (Deduplicators, Selectors) use a **two-pass**
@@ -12,14 +14,15 @@ ever holds more than one shard of payload.
 
 1. *Signature pass* — every shard is transformed by the pending sample ops,
    the global op's per-sample stage (hashing) runs shard-wise, and the shard
-   is spilled to disk (:class:`ShardStore`).  Only the op's small *signature
-   columns* (hashes, the selection field, stats — never the text payload) are
-   accumulated in memory, each row tagged with a global row id.
+   is stored (:class:`ShardStore` spills to disk; :class:`MemoryShardStore`
+   keeps the shard when nothing needs to survive the run).  Only the op's
+   small *signature columns* (hashes, the selection field, stats — never the
+   text payload) are accumulated, each row tagged with a global row id.
 2. *Global resolve* — the op's unmodified ``process`` runs once over the
    skinny signature dataset (:func:`resolve_global_keep`), yielding a keep
    mask over global row ids.  Because every built-in Deduplicator/Selector
-   preserves input order, the mask reproduces the in-memory result exactly.
-3. *Mask pass* — spilled shards are streamed back out with the mask applied
+   preserves input order, the mask reproduces a whole-dataset run exactly.
+3. *Mask pass* — stored shards are streamed back out with the mask applied
    (and the op's hash columns dropped), feeding the next pipeline segment.
 
 Shard spilling doubles as **shard-granular checkpointing**: with
@@ -32,7 +35,7 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.core.base_op import OP, Deduplicator, Filter, Mapper, Selector
 from repro.core.dataset import NestedDataset, _stable_hash
@@ -50,9 +53,9 @@ ROW_ID_COLUMN = "__row_id__"
 def op_config_hash(op: OP) -> str:
     """Digest of an operator's identity *and* parameters.
 
-    Used by both checkpoint granularities to detect that a recipe edit
-    changed what an operator would produce — a resume is only valid while
-    every already-applied op hashes the same.
+    The checkpoint state and the cache keys use it to detect that a recipe
+    edit changed what an operator would produce — a resume is only valid
+    while every op hashes the same.
     """
     return _stable_hash({"name": op.name, "config": op.config()})
 
@@ -112,9 +115,9 @@ def plan_segments(ops: Iterable[OP]) -> list[StreamSegment]:
     their segment and are resolved globally between passes.  Any other
     dataset-level operator fails fast — the global resolve only sees the
     skinny signature columns (never the text payload), so an op category it
-    does not understand could silently produce different rows than the
-    in-memory path.  The returned list always contains at least one segment,
-    and only its last segment may lack a global op.
+    does not understand could silently produce different rows than running
+    the op over the whole dataset.  The returned list always contains at
+    least one segment, and only its last segment may lack a global op.
     """
     segments: list[StreamSegment] = []
     current = StreamSegment()
@@ -127,7 +130,7 @@ def plan_segments(ops: Iterable[OP]) -> list[StreamSegment]:
             current = StreamSegment()
         else:
             raise DatasetError(
-                f"streaming mode cannot execute dataset-level op {op.name!r}: "
+                f"the executor cannot run dataset-level op {op.name!r}: "
                 "only Mappers, Filters, Deduplicators and Selectors are supported"
             )
     if current.sample_ops or not segments:
@@ -144,7 +147,7 @@ class ShardStore:
     Shards are internal temporaries (never user-facing), so they are stored
     as pickles: several times faster than JSON on the spill-heavy two-pass
     path and lossless for every Python payload (tuples stay tuples, so a
-    spill round-trip can never change what the in-memory path would have
+    spill round-trip can never change what an unspilled run would have
     produced).  Writes are atomic (temp file + rename), so a shard that
     exists is a shard that was written completely — the property crash
     recovery relies on.
@@ -165,8 +168,8 @@ class ShardStore:
         """True when a completely-written spill exists for (stage, index)."""
         return self.shard_path(stage, index).exists()
 
-    def write_shard(self, stage: int, index: int, rows: list[dict]) -> Path:
-        """Atomically spill one shard's rows; returns the written path."""
+    def write_shard(self, stage: int, index: int, rows: Any) -> Path:
+        """Atomically spill one shard; returns the written path."""
         path = self.shard_path(stage, index)
         path.parent.mkdir(parents=True, exist_ok=True)
         temp = path.with_suffix(".tmp")
@@ -175,7 +178,7 @@ class ShardStore:
         temp.replace(path)
         return path
 
-    def read_shard_rows(self, stage: int, index: int) -> list[dict]:
+    def read_shard_rows(self, stage: int, index: int) -> Any:
         """Load one spilled shard back into memory."""
         with self.shard_path(stage, index).open("rb") as handle:
             return pickle.load(handle)
@@ -189,6 +192,36 @@ class ShardStore:
                 child.unlink()
             else:
                 child.rmdir()
+
+
+class MemoryShardStore:
+    """The :class:`ShardStore` interface over a dict, for unspilled runs.
+
+    When nothing has to survive the run (no checkpointing) and the input is
+    already held in memory, writing the stored shards to disk and reading
+    them back would only add I/O, so the shards stay in this dict.  A stage
+    reads each stored shard back exactly once (its mask pass), so a read
+    also forgets the shard, keeping at most one copy of it alive.
+    """
+
+    def __init__(self) -> None:
+        self._shards: dict[tuple[int, int], Any] = {}
+
+    def has_shard(self, stage: int, index: int) -> bool:
+        """True when a shard is stored for (stage, index)."""
+        return (stage, index) in self._shards
+
+    def write_shard(self, stage: int, index: int, rows: Any) -> None:
+        """Keep one shard."""
+        self._shards[(stage, index)] = rows
+
+    def read_shard_rows(self, stage: int, index: int) -> Any:
+        """Return one stored shard and forget it."""
+        return self._shards.pop((stage, index))
+
+    def clear(self) -> None:
+        """Drop every stored shard."""
+        self._shards.clear()
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +244,7 @@ def signature_column_names(op: Any, column_names: list[str], text_key: str) -> l
             # every row and silently collapse the corpus to one "duplicate"
             raise DatasetError(
                 f"deduplicator {op.name!r} stores its signature outside the "
-                f"standard hash columns {_HASH_COLUMNS}; streaming mode cannot "
+                f"standard hash columns {_HASH_COLUMNS}; the executor cannot "
                 "resolve it globally"
             )
         return columns
@@ -224,19 +257,27 @@ def signature_column_names(op: Any, column_names: list[str], text_key: str) -> l
     return keep
 
 
-def resolve_global_keep(op: Any, signature: NestedDataset) -> tuple[list[bool], set[str]]:
+def resolve_global_keep(
+    op: Any, signature: NestedDataset, show_num: int = 0
+) -> tuple[list[bool], set[str], list[tuple[int, int]]]:
     """Run a dataset-level op over the skinny signature dataset.
 
     ``signature`` must carry a :data:`ROW_ID_COLUMN`.  Returns the keep mask
-    over global row ids plus the columns the op removed (a deduplicator
-    drops its own hash column), which the mask pass then strips from the
-    spilled rows.  Exact because every built-in Deduplicator/Selector keeps
-    surviving rows in input order.
+    over global row ids, the columns the op removed (a deduplicator drops
+    its own hash column), which the mask pass then strips from the stored
+    rows, and up to ``show_num`` ``(original, duplicate)`` row-id pairs of a
+    Deduplicator for the tracer.  Exact because every built-in
+    Deduplicator/Selector keeps surviving rows in input order.
     """
     if len(signature) == 0:
-        return [], set()
+        return [], set(), []
+    pairs: list[tuple[int, int]] = []
     if isinstance(op, Deduplicator):
-        result, _pairs = op.process(signature, show_num=0)
+        result, duplicate_pairs = op.process(signature, show_num=show_num)
+        pairs = [
+            (original[ROW_ID_COLUMN], duplicate[ROW_ID_COLUMN])
+            for original, duplicate in duplicate_pairs
+        ]
     elif isinstance(op, Selector):
         result = op.process(signature)
     else:
@@ -247,71 +288,25 @@ def resolve_global_keep(op: Any, signature: NestedDataset) -> tuple[list[bool], 
     mask = [row_id in surviving for row_id in signature.column(ROW_ID_COLUMN)]
     dropped = set(signature.column_names) - set(result.column_names)
     dropped.discard(ROW_ID_COLUMN)
-    return mask, dropped
+    return mask, dropped, pairs
 
 
 def apply_keep_mask(
-    rows: list[dict], mask: list[bool], drop_columns: set[str]
-) -> list[dict]:
-    """Keep the masked rows of one shard, stripping resolved hash columns."""
-    if drop_columns:
-        return [
-            {key: value for key, value in row.items() if key not in drop_columns}
-            for row, keep in zip(rows, mask)
-            if keep
-        ]
-    return [row for row, keep in zip(rows, mask) if keep]
-
-
-def run_sample_ops(
-    rows: list[dict],
-    sample_ops: list,
-    pool_factory: Callable[[], Any] | None = None,
-    profiler: Any = None,
-    tracer: Any = None,
-    policy: Any = None,
-    faults: Any = None,
-    quarantine: Any = None,
-    shard_id: str | None = None,
+    shard: NestedDataset, mask: list[bool], drop_columns: set[str]
 ) -> NestedDataset:
-    """Drive one shard through a run of Mappers/Filters (batched engine).
+    """Keep the masked rows of one shard, stripping resolved hash columns."""
+    kept = shard.select([index for index, keep in enumerate(mask) if keep])
+    return kept.remove_columns(sorted(drop_columns)) if drop_columns else kept
 
-    ``pool_factory`` lazily provides a :class:`repro.parallel.WorkerPool`
-    handle exactly like the in-memory executor — the pool is only created
-    when an op actually executes.  ``profiler`` is an optional
-    :class:`repro.core.monitor.RunProfiler` accumulating per-op wall time and
-    row counts across shards; ``tracer`` is an optional
-    :class:`repro.core.tracer.StreamingTracer` whose per-op accumulators
-    every shard feeds incrementally.
 
-    With a ``policy`` (:class:`repro.core.faults.ErrorPolicy`, plus the
-    matching ``faults`` tracker and optional ``quarantine`` writer) every op
-    runs through :func:`repro.core.faults.run_op_with_policy` — retried, and
-    under a lenient policy row-isolated so one poison row only removes
-    itself from the shard.  ``shard_id`` labels fault records and error
-    messages with the shard being processed.
+def shard_signature(shard: NestedDataset) -> str:
+    """Digest of a shard's content: every value, and the column order.
+
+    The column order is part of the identity because it is the key order of
+    the exported rows, so two shards with equal values in another column
+    order must not share a cache entry.
     """
-
-    def apply(op: Any, dataset: NestedDataset, pool: Any) -> NestedDataset:
-        if policy is None:
-            return op.run(dataset, tracer=tracer, pool=pool)
-        from repro.core.faults import run_op_with_policy
-
-        return run_op_with_policy(
-            op, dataset, policy, faults, quarantine,
-            tracer=tracer, pool=pool, shard_id=shard_id,
-        )
-
-    dataset = NestedDataset.from_list(rows)
-    for op in sample_ops:
-        pool = pool_factory() if pool_factory is not None else None
-        if profiler is not None:
-            with profiler.track(op, rows_in=len(dataset)) as tracking:
-                dataset = apply(op, dataset, pool)
-                tracking.rows_out = len(dataset)
-        else:
-            dataset = apply(op, dataset, pool)
-    return dataset
+    return _stable_hash([shard.column_names, shard.to_dict()])
 
 
 def stage_chain_hash(segment: StreamSegment) -> str:
@@ -332,6 +327,7 @@ def stage_chain_hash(segment: StreamSegment) -> str:
 __all__ = [
     "DEFAULT_SHARD_ROWS",
     "ROW_ID_COLUMN",
+    "MemoryShardStore",
     "ShardStore",
     "StreamSegment",
     "apply_keep_mask",
@@ -339,7 +335,7 @@ __all__ = [
     "op_config_hash",
     "plan_segments",
     "resolve_global_keep",
-    "run_sample_ops",
+    "shard_signature",
     "signature_column_names",
     "stage_chain_hash",
 ]

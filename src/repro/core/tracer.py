@@ -4,7 +4,12 @@ The paper's ``tracer`` tool (Sec. 4.2) records, for every operator, how
 individual samples changed: edited text for Mappers, discarded samples for
 Filters/Selectors, and (near-)duplicate pairs for Deduplicators.  The records
 back the interactive visualization of the original system; here they are
-available programmatically and can be dumped to JSONL files.
+available programmatically and as JSONL files.
+
+An operator may be traced many times in one run — once per shard — so every
+call merges into one per-operator record: counts add up, and examples fill a
+bounded first-``show_num`` reservoir, so memory grows with ``show_num`` and
+never with the corpus.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ def _discarded_examples(
     Membership is by text value (the surviving rows of a filter keep their
     text verbatim), with ``None`` texts matched against whether *any*
     surviving row has a ``None`` text.  ``offset`` shifts the reported
-    indexes, so streaming shards report corpus-global positions.
+    indexes, so later shards report corpus-global positions.
     """
     if budget <= 0:
         return []
@@ -71,12 +76,51 @@ def _discarded_examples(
 
 
 class Tracer:
-    """Collect :class:`TraceRecord` objects for each executed operator."""
+    """Accumulate one :class:`TraceRecord` per operator, across shards.
+
+    ``records`` is in first-touch order; the executor registers every
+    pipeline op before the first shard flows, so that is pipeline order even
+    for ops an empty input never reaches.  With a ``trace_dir`` each record's
+    ``trace-NNN-<op>.jsonl`` file is rewritten whenever the record changes,
+    so the files show the run's progress while it runs.
+    """
 
     def __init__(self, show_num: int = 10, trace_dir: str | Path | None = None):
         self.show_num = show_num
         self.trace_dir = Path(trace_dir) if trace_dir else None
         self.records: list[TraceRecord] = []
+        self._by_name: dict[str, TraceRecord] = {}
+
+    # ------------------------------------------------------------------
+    def register(self, op_name: str, op_type: str) -> TraceRecord:
+        """Return (creating on first touch) the record of an operator."""
+        record = self._by_name.get(op_name)
+        if record is None:
+            record = self._by_name[op_name] = TraceRecord(op_name, op_type, 0, 0, [])
+            self.records.append(record)
+        return record
+
+    def _budget(self, record: TraceRecord) -> int:
+        return max(0, self.show_num - len(record.examples))
+
+    def wants_examples(self, op_name: str, op_type: str) -> bool:
+        """True while the op's example reservoir still has room."""
+        return self._budget(self.register(op_name, op_type)) > 0
+
+    def add_example(self, op_name: str, op_type: str, example: dict) -> bool:
+        """Attach one example to an op; False once the reservoir is full."""
+        record = self.register(op_name, op_type)
+        if self._budget(record) <= 0:
+            return False
+        record.examples.append(example)
+        self._write(record)
+        return True
+
+    def _count(self, record: TraceRecord, input_size: int, output_size: int) -> TraceRecord:
+        record.input_size += input_size
+        record.output_size += output_size
+        self._write(record)
+        return record
 
     # ------------------------------------------------------------------
     def trace_mapper(
@@ -87,62 +131,70 @@ class Tracer:
         text_key: str = Fields.text,
     ) -> TraceRecord:
         """Record pre/post-edit text pairs for samples changed by a Mapper."""
-        examples = []
-        for index in range(min(len(before), len(after))):
-            original = get_field(before[index], text_key, "")
-            edited = get_field(after[index], text_key, "")
-            if original != edited:
-                examples.append({"index": index, "before": original, "after": edited})
-                if len(examples) >= self.show_num:
-                    break
-        record = TraceRecord(op_name, "mapper", len(before), len(after), examples)
-        self._store(record)
-        return record
+        record = self.register(op_name, "mapper")
+        offset = record.input_size
+        if self._budget(record) > 0:
+            for index in range(min(len(before), len(after))):
+                original = get_field(before[index], text_key, "")
+                edited = get_field(after[index], text_key, "")
+                if original != edited:
+                    record.examples.append(
+                        {"index": offset + index, "before": original, "after": edited}
+                    )
+                    if len(record.examples) >= self.show_num:
+                        break
+        return self._count(record, len(before), len(after))
 
     def trace_filter(
         self, op_name: str, before: NestedDataset, after: NestedDataset
     ) -> TraceRecord:
         """Record the samples discarded by a Filter or Selector."""
-        examples = _discarded_examples(before, after, self.show_num)
-        record = TraceRecord(op_name, "filter", len(before), len(after), examples)
-        self._store(record)
-        return record
+        record = self.register(op_name, "filter")
+        record.examples.extend(
+            _discarded_examples(before, after, self._budget(record), offset=record.input_size)
+        )
+        return self._count(record, len(before), len(after))
 
     def trace_deduplicator(
         self, op_name: str, input_size: int, output_size: int, duplicate_pairs: list
     ) -> TraceRecord:
         """Record (near-)duplicate pairs found by a Deduplicator."""
-        examples = []
-        for original, duplicate in duplicate_pairs[: self.show_num]:
-            examples.append(
+        record = self.register(op_name, "deduplicator")
+        for original, duplicate in duplicate_pairs[: self._budget(record)]:
+            record.examples.append(
                 {
                     "original": original.get(Fields.text, ""),
                     "duplicate": duplicate.get(Fields.text, ""),
                 }
             )
-        record = TraceRecord(op_name, "deduplicator", input_size, output_size, examples)
-        self._store(record)
-        return record
+        return self._count(record, input_size, output_size)
+
+    def observe_global(
+        self, op_name: str, op_type: str, input_size: int, output_size: int
+    ) -> TraceRecord:
+        """Record the sizes of a globally resolved op (its examples come later)."""
+        return self._count(self.register(op_name, op_type), input_size, output_size)
 
     # ------------------------------------------------------------------
-    def _store(self, record: TraceRecord) -> None:
-        self.records.append(record)
-        if self.trace_dir is not None:
-            self.trace_dir.mkdir(parents=True, exist_ok=True)
-            path = self.trace_dir / f"trace-{len(self.records):03d}-{record.op_name}.jsonl"
-            with path.open("w", encoding="utf-8") as handle:
-                header = {
-                    "op_name": record.op_name,
-                    "op_type": record.op_type,
-                    "input_size": record.input_size,
-                    "output_size": record.output_size,
-                }
-                handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-                for example in record.examples:
-                    handle.write(json.dumps(example, ensure_ascii=False, default=repr) + "\n")
+    def _write(self, record: TraceRecord) -> None:
+        if self.trace_dir is None:
+            return
+        self.trace_dir.mkdir(parents=True, exist_ok=True)
+        position = self.records.index(record) + 1
+        path = self.trace_dir / f"trace-{position:03d}-{record.op_name}.jsonl"
+        with path.open("w", encoding="utf-8") as handle:
+            header = {
+                "op_name": record.op_name,
+                "op_type": record.op_type,
+                "input_size": record.input_size,
+                "output_size": record.output_size,
+            }
+            handle.write(json.dumps(header, ensure_ascii=False) + "\n")
+            for example in record.examples:
+                handle.write(json.dumps(example, ensure_ascii=False, default=repr) + "\n")
 
     def summary(self) -> list[dict]:
-        """Per-operator size changes, in execution order (drives Figure 4.(b))."""
+        """Per-operator size changes, in pipeline order (drives Figure 4.(b))."""
         return [
             {
                 "op_name": record.op_name,
@@ -153,147 +205,3 @@ class Tracer:
             }
             for record in self.records
         ]
-
-
-class StreamingTracer(Tracer):
-    """Tracer variant that accumulates incrementally across shards.
-
-    The base :class:`Tracer` assumes each ``trace_*`` call sees the *whole*
-    dataset and stores one record per call.  In streaming mode an operator
-    runs once per shard, so this subclass merges every call into one
-    per-operator accumulator instead: kept/dropped/changed counts add up
-    across shards, and examples fill a bounded first-``show_num`` reservoir —
-    memory never grows with the corpus, only with ``show_num``.
-
-    Operators resolved globally from a keep mask (Deduplicators, Selectors)
-    report through :meth:`observe_global`, and the mask pass contributes
-    dropped-row examples via :meth:`add_dropped_example` — the signature rows
-    driving the resolve carry no text payload, so examples are harvested
-    while the spilled shards stream back out.
-
-    Call :meth:`finalize` once at the end of the run: it emits the
-    accumulated :class:`TraceRecord` objects in pipeline order (writing trace
-    files exactly like the in-memory tracer).  :meth:`summary` finalizes
-    implicitly, so ``run()`` and ``run_streaming()`` trace summaries are
-    structurally interchangeable.
-    """
-
-    def __init__(self, show_num: int = 10, trace_dir: str | Path | None = None):
-        super().__init__(show_num=show_num, trace_dir=trace_dir)
-        self._accumulators: dict[str, TraceRecord] = {}
-        self._finalized = False
-
-    # ------------------------------------------------------------------
-    def register(self, op_name: str, op_type: str) -> TraceRecord:
-        """Return (creating on first touch) the accumulator of an operator.
-
-        The executor pre-registers every pipeline op before the first shard
-        flows, so accumulator order — and therefore record and summary order
-        — is pipeline order even for ops an empty input never reaches.
-        """
-        if op_name not in self._accumulators:
-            self._accumulators[op_name] = TraceRecord(op_name, op_type, 0, 0, [])
-        return self._accumulators[op_name]
-
-    def _example_budget(self, record: TraceRecord) -> int:
-        return max(0, self.show_num - len(record.examples))
-
-    # ------------------------------------------------------------------
-    def trace_mapper(
-        self,
-        op_name: str,
-        before: NestedDataset,
-        after: NestedDataset,
-        text_key: str = Fields.text,
-    ) -> TraceRecord:
-        """Accumulate one shard of a Mapper: changed counts + sampled diffs."""
-        record = self.register(op_name, "mapper")
-        budget = self._example_budget(record)
-        offset = record.input_size
-        if budget > 0:
-            for index in range(min(len(before), len(after))):
-                original = get_field(before[index], text_key, "")
-                edited = get_field(after[index], text_key, "")
-                if original != edited:
-                    record.examples.append(
-                        {"index": offset + index, "before": original, "after": edited}
-                    )
-                    if len(record.examples) >= self.show_num:
-                        break
-        record.input_size += len(before)
-        record.output_size += len(after)
-        return record
-
-    def trace_filter(
-        self, op_name: str, before: NestedDataset, after: NestedDataset
-    ) -> TraceRecord:
-        """Accumulate one shard of a Filter: drop counts + sampled rejects."""
-        record = self.register(op_name, "filter")
-        record.examples.extend(
-            _discarded_examples(
-                before, after, self._example_budget(record), offset=record.input_size
-            )
-        )
-        record.input_size += len(before)
-        record.output_size += len(after)
-        return record
-
-    def trace_deduplicator(
-        self, op_name: str, input_size: int, output_size: int, duplicate_pairs: list
-    ) -> TraceRecord:
-        """Accumulate one shard-level call of a Deduplicator.
-
-        The streaming executor itself reports Deduplicators through
-        :meth:`observe_global` (their clustering is never shard-local); this
-        override exists so code driving ``Deduplicator.run`` manually with a
-        streaming tracer still accumulates instead of storing per-call
-        records.
-        """
-        record = self.register(op_name, "deduplicator")
-        budget = self._example_budget(record)
-        for original, duplicate in duplicate_pairs[:budget]:
-            record.examples.append(
-                {
-                    "original": original.get(Fields.text, ""),
-                    "duplicate": duplicate.get(Fields.text, ""),
-                }
-            )
-        record.input_size += input_size
-        record.output_size += output_size
-        return record
-
-    # ------------------------------------------------------------------
-    def observe_global(
-        self, op_name: str, op_type: str, input_size: int, output_size: int
-    ) -> TraceRecord:
-        """Record the sizes of a globally-resolved op (mask already applied)."""
-        record = self.register(op_name, op_type)
-        record.input_size += input_size
-        record.output_size += output_size
-        return record
-
-    def add_dropped_example(self, op_name: str, op_type: str, example: dict) -> bool:
-        """Attach one dropped-row example to an op; False once the reservoir is full."""
-        record = self.register(op_name, op_type)
-        if self._example_budget(record) <= 0:
-            return False
-        record.examples.append(example)
-        return True
-
-    def wants_examples(self, op_name: str, op_type: str) -> bool:
-        """True while the op's example reservoir still has room."""
-        return self._example_budget(self.register(op_name, op_type)) > 0
-
-    # ------------------------------------------------------------------
-    def finalize(self) -> None:
-        """Emit the accumulated records (once) in pipeline order."""
-        if self._finalized:
-            return
-        self._finalized = True
-        for record in self._accumulators.values():
-            self._store(record)
-
-    def summary(self) -> list[dict]:
-        """Finalize (idempotent) and return the per-operator summary."""
-        self.finalize()
-        return super().summary()

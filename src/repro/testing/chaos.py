@@ -6,8 +6,8 @@ kill, a hang) and *how often* (``times``-bounded via on-disk fuse tokens that
 work across worker processes).  Installing the plan wraps the chosen
 operators' execution methods in place — batched and per-row paths alike, and
 recursively through :class:`repro.core.fusion.FusedFilter` members — so the
-same plan perturbs the in-memory engine, the worker pool and the streaming
-engine identically.
+same plan perturbs in-memory and streaming runs and the worker pool
+identically.
 
 Determinism contract: triggers are pure functions of the row payloads
 (substring match) plus the persistent fuse state, never of wall-clock time or

@@ -190,17 +190,20 @@ def test_fused_filter_config_embeds_member_parameters(corpus):
 
 
 def test_checkpoint_resume_preserves_fingerprint(tmp_path, corpus):
-    """Regression: checkpoint load rebuilt the dataset with a content-probe
-    fingerprint, so every downstream cache key missed after a resume."""
-    from repro.core.checkpoint import CheckpointManager
+    """A resumed run returns the rows and fingerprint of a fresh run."""
+    from repro.core.executor import Executor
 
-    op = load_ops([{"text_length_filter": {"min_len": 30}}])[0]
-    out = op.run(corpus)
-    manager = CheckpointManager(tmp_path)
-    manager.save(out, 1, [op.name])
-    restored, op_index, _names = manager.load()
-    assert op_index == 1
-    assert restored.fingerprint == out.fingerprint
+    config = {
+        "process": [{"text_length_filter": {"min_len": 30}}, {"document_deduplicator": {}}],
+        "work_dir": str(tmp_path),
+        "use_checkpoint": True,
+    }
+    fresh = Executor(config).run(corpus)
+    resumed_executor = Executor(config)
+    resumed = resumed_executor.run(corpus)
+    assert resumed_executor.last_report["shards"]["resumed_shards"] > 0
+    assert resumed.to_list() == fresh.to_list()
+    assert resumed.fingerprint == fresh.fingerprint
 
 
 def test_batch_size_does_not_change_results_or_fingerprint(corpus):

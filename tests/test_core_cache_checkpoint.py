@@ -10,7 +10,7 @@ from repro.core.cache import (
 )
 from repro.core.checkpoint import CheckpointManager
 from repro.core.dataset import NestedDataset
-from repro.core.errors import CheckpointError, ReproError
+from repro.core.errors import ReproError
 
 
 def dataset():
@@ -20,7 +20,7 @@ def dataset():
 class TestCacheManager:
     def test_save_and_load_roundtrip(self, tmp_path):
         cache = CacheManager(tmp_path)
-        key = CacheManager.make_key("fp", "op", {"a": 1})
+        key = CacheManager.make_shard_key("chain", "shard")
         cache.save(key, dataset())
         loaded = cache.load(key)
         assert loaded is not None
@@ -29,13 +29,13 @@ class TestCacheManager:
     def test_miss_returns_none_and_counts(self, tmp_path):
         cache = CacheManager(tmp_path)
         assert cache.load("missing") is None
-        assert cache.misses == 1
+        assert cache.resolve_misses == 1
 
     def test_hit_counts(self, tmp_path):
         cache = CacheManager(tmp_path)
         cache.save("k", dataset())
         cache.load("k")
-        assert cache.hits == 1
+        assert cache.resolve_hits == 1
 
     def test_disabled_cache_is_noop(self, tmp_path):
         cache = CacheManager(tmp_path, enabled=False)
@@ -70,10 +70,15 @@ class TestCacheManager:
         assert cache.clear() == 2
         assert cache.total_bytes() == 0
 
-    def test_make_key_depends_on_params(self):
-        assert CacheManager.make_key("fp", "op", {"a": 1}) != CacheManager.make_key(
-            "fp", "op", {"a": 2}
-        )
+    def test_shard_key_depends_on_chain_and_shard(self):
+        key = CacheManager.make_shard_key("chain", "shard")
+        assert key != CacheManager.make_shard_key("other-chain", "shard")
+        assert key != CacheManager.make_shard_key("chain", "other-shard")
+
+    def test_resolve_key_depends_on_shard_order_and_pairs(self):
+        key = CacheManager.make_resolve_key("chain", ["a", "b"], 0)
+        assert key != CacheManager.make_resolve_key("chain", ["b", "a"], 0)
+        assert key != CacheManager.make_resolve_key("chain", ["a", "b"], 10)
 
 
 class TestSpaceEstimates:
@@ -93,26 +98,25 @@ class TestSpaceEstimates:
 
 
 class TestCheckpointManager:
-    def test_save_and_load(self, tmp_path):
+    def test_save_and_load_state(self, tmp_path):
         manager = CheckpointManager(tmp_path)
-        manager.save(dataset(), op_index=2, op_names=["a", "b", "c"])
-        assert manager.exists()
-        restored, op_index, names = manager.load()
-        assert op_index == 2
-        assert names == ["a", "b", "c"]
-        assert len(restored) == 10
+        manager.save_stream_state({"op_hashes": ["a", "b"]})
+        assert manager.load_stream_state() == {"op_hashes": ["a", "b"]}
 
-    def test_load_without_checkpoint_raises(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            CheckpointManager(tmp_path).load()
+    def test_missing_state_reads_as_none(self, tmp_path):
+        assert CheckpointManager(tmp_path).load_stream_state() is None
 
-    def test_disabled_manager_never_exists(self, tmp_path):
+    def test_disabled_manager_never_persists(self, tmp_path):
         manager = CheckpointManager(tmp_path, enabled=False)
-        manager.save(dataset(), 1, ["a"])
-        assert not manager.exists()
+        manager.save_stream_state({"op_hashes": ["a"]})
+        assert not (tmp_path / CheckpointManager.STREAM_STATE_FILE).exists()
+        assert manager.load_stream_state() is None
 
-    def test_clear(self, tmp_path):
+    def test_clear_stream(self, tmp_path):
         manager = CheckpointManager(tmp_path)
-        manager.save(dataset(), 1, ["a"])
-        manager.clear()
-        assert not manager.exists()
+        manager.save_stream_state({"op_hashes": ["a"]})
+        manager.stream_dir.mkdir()
+        (manager.stream_dir / "shard-00000.pkl").write_bytes(b"spilled")
+        manager.clear_stream()
+        assert manager.load_stream_state() is None
+        assert not manager.stream_dir.exists()

@@ -130,10 +130,14 @@ class TestExecutor:
         data = NestedDataset.from_list(sample_rows())
         first = Executor(config)
         first.run(data)
-        assert first.last_report["cache"]["hits"] == 0
+        assert first.last_report["cache"]["shard_hits"] == 0
         second = Executor(config)
         second.run(data)
-        assert second.last_report["cache"]["hits"] == len(PROCESS)
+        # one segment (closed by the deduplicator): its shard and its
+        # global resolve are both replayed, so no op runs
+        assert second.last_report["cache"]["shard_hits"] == 1
+        assert second.last_report["cache"]["resolve_hits"] == 1
+        assert second.last_report["shards"]["executed_shards"] == 0
 
     def test_checkpoint_resume(self, tmp_path):
         config = {
@@ -148,7 +152,7 @@ class TestExecutor:
         assert sorted(r["text"] for r in out_first) == sorted(r["text"] for r in out_second)
 
     def test_checkpoint_saved_on_cache_hits(self, tmp_path):
-        """A resume after a fully cache-hit run must not restart from a stale op index."""
+        """A fully cache-hit run still writes the spill a later resume reuses."""
         config = {
             "process": PROCESS,
             "use_cache": True,
@@ -159,15 +163,18 @@ class TestExecutor:
         data = NestedDataset.from_list(sample_rows())
         Executor(config).run(data)
 
-        # wipe the checkpoint, then re-run: every op is now a cache hit, and
-        # the checkpoint must still advance to the end of the recipe
+        # wipe the checkpoint, then re-run: every shard is now a cache hit,
+        # and the spill must still be written for the next resume
         second = Executor(config)
-        second.checkpoint.clear()
+        second.checkpoint.clear_stream()
         second.run(data)
-        assert second.last_report["cache"]["hits"] == len(PROCESS)
-        _, op_index, op_names = second.checkpoint.load()
-        assert op_index == len(PROCESS)
-        assert op_names == [op.name for op in second.ops]
+        assert second.last_report["cache"]["shard_hits"] == 1
+        assert second.last_report["shards"]["executed_shards"] == 0
+        third = Executor(config)
+        out = third.run(data)
+        assert third.last_report["shards"]["resumed_shards"] == 1
+        assert third.last_report["cache"]["shard_hits"] == 0
+        assert len(out) == 2
 
     def test_plan_describes_ops(self):
         executor = Executor({"process": PROCESS, "op_fusion": False})
@@ -206,5 +213,5 @@ class TestExecutor:
         }
         executor = Executor(config)
         executor.run(NestedDataset.from_list(sample_rows()))
-        state = executor.checkpoint.read_state()
+        state = executor.checkpoint.load_stream_state()
         assert len(state["op_hashes"]) == len(PROCESS)

@@ -301,18 +301,21 @@ class TestCorruptCheckpointState:
         }
         dataset = poison_dataset()
         Executor(config).run(dataset)
-        state_path = tmp_path / "checkpoint" / "checkpoint_state.json"
+        state_path = tmp_path / "checkpoint" / "stream_state.json"
         assert state_path.exists()
         state_path.write_text("{ truncated garbage", encoding="utf-8")
         out = Executor(config).run(dataset)
         assert len(out) == 3
 
-    def test_read_state_returns_none_on_garbage(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload", [b"not json", b'{"op_hashes": [', b"\xff\xfe\x00not utf-8\x80"]
+    )
+    def test_read_state_returns_none_on_garbage(self, tmp_path, payload):
         from repro.core.checkpoint import CheckpointManager
 
         manager = CheckpointManager(tmp_path, enabled=True)
-        (tmp_path / CheckpointManager.STATE_FILE).write_text("not json", encoding="utf-8")
-        assert manager.read_state() is None
+        (tmp_path / CheckpointManager.STREAM_STATE_FILE).write_bytes(payload)
+        assert manager.load_stream_state() is None
 
 
 class TestConfigValidation:

@@ -19,7 +19,7 @@ import pytest
 from repro.core.executor import Executor
 from repro.core.monitor import RunProfiler
 from repro.core.report import OpReport, REPORT_FILE, RunReport
-from repro.core.tracer import StreamingTracer
+from repro.core.tracer import Tracer
 from repro.ops import build_ops
 from repro.recipes import get_recipe
 
@@ -101,13 +101,13 @@ class TestRunProfiler:
 
 
 # ----------------------------------------------------------------------
-# Streaming tracer
+# Tracer accumulation across shards
 # ----------------------------------------------------------------------
-class TestStreamingTracer:
+class TestShardAccumulatingTracer:
     def test_examples_stay_bounded_across_shards(self):
         from repro.core.dataset import NestedDataset
 
-        tracer = StreamingTracer(show_num=4)
+        tracer = Tracer(show_num=4)
         for shard in range(10):
             before = NestedDataset.from_list(
                 [{"text": f"shard {shard} row {i}"} for i in range(20)]
@@ -126,7 +126,7 @@ class TestStreamingTracer:
     def test_filter_accumulates_with_global_indexes(self):
         from repro.core.dataset import NestedDataset
 
-        tracer = StreamingTracer(show_num=10)
+        tracer = Tracer(show_num=10)
         first = NestedDataset.from_list([{"text": "keep"}, {"text": "drop-a"}])
         second = NestedDataset.from_list([{"text": "drop-b"}, {"text": "keep"}])
         kept = NestedDataset.from_list([{"text": "keep"}])
@@ -136,19 +136,20 @@ class TestStreamingTracer:
         assert (record.input_size, record.output_size) == (4, 2)
         assert [example["index"] for example in record.examples] == [1, 2]
 
-    def test_finalize_is_idempotent_and_writes_files(self, tmp_path):
+    def test_trace_file_rewritten_in_place(self, tmp_path):
         from repro.core.dataset import NestedDataset
 
-        tracer = StreamingTracer(show_num=2, trace_dir=tmp_path)
+        tracer = Tracer(show_num=2, trace_dir=tmp_path)
         dataset = NestedDataset.from_list([{"text": "a"}])
         tracer.trace_filter("f", dataset, dataset)
-        tracer.finalize()
-        tracer.finalize()
+        tracer.trace_filter("f", dataset, dataset)
         assert len(tracer.records) == 1
-        assert len(list(tmp_path.glob("trace-*.jsonl"))) == 1
+        (path,) = tmp_path.glob("trace-*.jsonl")
+        header = json.loads(path.read_text().splitlines()[0])
+        assert (header["input_size"], header["output_size"]) == (2, 2)
 
     def test_preregistration_fixes_summary_order(self):
-        tracer = StreamingTracer()
+        tracer = Tracer()
         tracer.register("first_op", "mapper")
         tracer.register("second_op", "filter")
         tracer.observe_global("second_op", "filter", 10, 5)

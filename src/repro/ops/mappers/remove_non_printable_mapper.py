@@ -5,23 +5,37 @@ from __future__ import annotations
 import unicodedata
 
 from repro.core.base_op import Mapper
+from repro.core.batch import get_text_column, set_text_column
 from repro.core.registry import OPERATORS
+from repro.ops.common.vectorized import delete_matching_chars
+
+_KEEP = frozenset("\n\t\r")
+
+
+def _is_non_printable(char: str) -> bool:
+    return char not in _KEEP and unicodedata.category(char).startswith("C")
 
 
 @OPERATORS.register_module("remove_non_printable_mapper")
 class RemoveNonPrintableMapper(Mapper):
     """Delete control and format characters (category C*) except newlines/tabs."""
 
-    KEEP = {"\n", "\t", "\r"}
+    KEEP = _KEEP
 
     def __init__(self, text_key: str = "text", **kwargs):
         super().__init__(text_key=text_key, **kwargs)
 
     def process(self, sample: dict) -> dict:
         text = self.get_text(sample)
-        cleaned = "".join(
-            char
-            for char in text
-            if char in self.KEEP or not unicodedata.category(char).startswith("C")
-        )
+        cleaned = "".join(char for char in text if not _is_non_printable(char))
         return self.set_text(sample, cleaned)
+
+    def process_batched(self, samples: dict) -> dict:
+        texts = get_text_column(samples, self.text_key)
+        if texts is None:
+            return super().process_batched(samples)
+        return set_text_column(
+            samples,
+            self.text_key,
+            delete_matching_chars(texts, "non_printable", _is_non_printable),
+        )

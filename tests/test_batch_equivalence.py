@@ -140,6 +140,63 @@ def test_unpaired_surrogates_do_not_crash_batched_path(op_name):
     assert batched.fingerprint == per_row.fingerprint
 
 
+@pytest.mark.parametrize(
+    "op_name", ["remove_non_printable_mapper", "punctuation_normalization_mapper"]
+)
+def test_translate_kernels_match_per_row_on_rewritten_chars(op_name):
+    """The ``str.translate`` kernels must rewrite exactly the characters the
+    per-row join does: control/format chars (not newline/tab/CR), lone
+    surrogates, typographic punctuation incl. the one-to-many ``．``."""
+    import json
+
+    surrogate = json.loads('"lone \\ud800 surrogate"')
+    texts = [
+        "ab\x00c\x07d​‎﻿ e\x85f",
+        "keep\n\tthese\r\nlines",
+        "你好，world！“quoted” — dash… ．end",
+        surrogate,
+        "plain ascii only",
+        "",
+    ]
+    dataset = NestedDataset.from_list([{"text": text} for text in texts])
+    op = load_ops([{op_name: {}}])[0]
+    batched, per_row = run_both_ways(op, dataset)
+    assert batched.to_list() == per_row.to_list()
+    assert batched.fingerprint == per_row.fingerprint
+    assert [row["text"] for row in batched.to_list()] != texts
+
+
+def test_simhash_fingerprints_do_not_depend_on_vote_grouping(monkeypatch):
+    """Batched SimHash votes over groups of documents; tiny groups (one
+    document per group) and one big group all give the textbook fingerprint
+    (each feature's 64-bit md5 prefix votes +1/-1 per bit)."""
+    import hashlib
+
+    from repro.core.sample import HashKeys
+    from repro.ops.deduplicators import document_simhash_deduplicator as simhash
+    from repro.synth import books_like
+
+    texts = [row["text"] for row in books_like(num_samples=6, seed=4).to_list()]
+    texts += ["", "one", "two words", "ÀÉ mixed Case ünïcode words here"]
+    op = simhash.DocumentSimhashDeduplicator()
+
+    def reference(text):
+        hashes = [
+            int.from_bytes(hashlib.md5(feature.encode("utf-8")).digest()[:8], "little")
+            for feature in op._features(text)
+        ]
+        votes = [sum(1 if value >> bit & 1 else -1 for value in hashes) for bit in range(64)]
+        return sum(1 << bit for bit, vote in enumerate(votes) if vote > 0)
+
+    per_row = [op.compute_hash({"text": text})[HashKeys.simhash] for text in texts]
+    assert per_row == [reference(text) for text in texts]
+    assert len(set(per_row)) > 4
+    for group_features in (1, 7, 1 << 11, 1 << 30):
+        monkeypatch.setattr(simhash, "_GROUP_FEATURES", group_features)
+        batched = op.compute_hash_batched({"text": list(texts)})[HashKeys.simhash]
+        assert batched == per_row
+
+
 def test_dotted_text_key_falls_back_to_per_row(corpus):
     nested = NestedDataset.from_list(
         [{"meta": {"body": "some reasonably long nested text body"}}, {"meta": {"body": "x"}}]

@@ -75,6 +75,20 @@ from repro.core.tracer import Tracer
 from repro.parallel import WorkerPool
 
 
+def _boxed(shards: Iterator[NestedDataset]) -> Iterator[list[NestedDataset]]:
+    """Box each shard for :meth:`Executor._execute_shard` to take.
+
+    The one-element box is the shard's only holder (no loop variable or
+    ``enumerate`` tuple keeps the shard itself), so taking the shard out
+    lets its first op free it.
+    """
+    return map(lambda shard: [shard], shards)
+
+
+class _GlobalOpSkipped(Exception):
+    """Carries the whole input's rows past a dedup whose hashing kept failing."""
+
+
 class Executor:
     """Run a data recipe end to end.
 
@@ -394,17 +408,26 @@ class Executor:
             if memory:
                 dataset = self._load_input(dataset)
                 shard_rows = shard_chars = None
-                source: Iterator[NestedDataset] = iter([dataset] if len(dataset) else [])
+                pending = [dataset] if len(dataset) else []
+                progress["input_shards"] = len(pending)
+                # popped, not iterated: nothing keeps the input once handed out
+                source: Iterator[NestedDataset] = (pending.pop() for _ in range(len(pending)))
             else:
                 shard_rows, shard_chars = self.cfg.max_shard_rows, self.cfg.max_shard_chars
                 formatter = self._input_formatter() if dataset is None else None
-                source = self._input_shards(dataset, formatter, shard_rows, shard_chars)
+                source = self._input_shards(
+                    dataset, formatter, shard_rows, shard_chars, progress
+                )
             store, persistent = self._open_store(memory, dataset, formatter)
+            # from here on the source holds the only reference to a loaded
+            # input, so its first op frees it (see _execute_shard)
+            del dataset
             try:
-                source = self._count_shards(source, progress)
                 for stage, segment in enumerate(segments):
                     if segment.global_op is not None:
-                        source = self._resolved_stage(stage, segment, source, store, progress)
+                        source = self._resolved_stage(
+                            stage, segment, source, store, progress, whole_input=memory
+                        )
                     else:
                         # the final segment spills only when checkpointing,
                         # so a crash during export still resumes mid-corpus
@@ -434,6 +457,8 @@ class Executor:
                     if isinstance(store, ShardStore):
                         store.root.rmdir()
 
+        if tracer is not None:
+            tracer.write_files()
         self.last_report = RunReport(
             mode="memory" if memory else "streaming",
             plan=self.plan,
@@ -552,21 +577,15 @@ class Executor:
         formatter: Any,
         shard_rows: int | None,
         shard_chars: int | None,
+        progress: dict[str, int],
     ) -> Iterator[NestedDataset]:
         """Lazily chunk the input into bounded shards, never materialising it."""
         records: Any = iter(dataset) if dataset is not None else formatter.iter_records()
         for rows in iter_record_shards(
             records, max_rows=shard_rows, max_chars=shard_chars, text_key=Fields.text
         ):
-            yield NestedDataset.from_list(rows)
-
-    @staticmethod
-    def _count_shards(
-        shards: Iterator[NestedDataset], progress: dict[str, int]
-    ) -> Iterator[NestedDataset]:
-        for shard in shards:
             progress["input_shards"] += 1
-            yield shard
+            yield NestedDataset.from_list(rows)
 
     @staticmethod
     def _trace_type(op: Any) -> str:
@@ -592,22 +611,29 @@ class Executor:
         self,
         segment: StreamSegment,
         cache_key: str | None,
-        shard: NestedDataset,
+        taken: list[NestedDataset],
         progress: dict[str, int],
         shard_id: str | None = None,
+        whole_input: bool = False,
     ) -> NestedDataset:
         """One shard's shard-local work (sample ops + dedup hashing), cached.
 
-        With ``use_cache`` (a ``cache_key``) a hit replays the shard without
-        touching any operator (counted per op as a cached call and per run
-        as a ``cached_shards`` shard).
+        ``taken`` holds the only reference to the shard and is emptied, so
+        the shard is freed once its first op has run — for a memory run
+        that is the whole loaded input.  With ``use_cache`` (a
+        ``cache_key``) a hit replays the shard without touching any operator
+        (counted per op as a cached call and per run as a ``cached_shards``
+        shard).
 
-        Failures are contained per shard: sample-op errors are handled row-
-        wise by the error policy inside :func:`run_op_with_policy`; anything
-        that still escapes (the dedup hashing stage has no row-isolated
-        fallback) retries the whole shard, and under a lenient policy a
-        persistently failing shard is dropped/quarantined whole instead of
-        wedging the run.  Fault-shaped shard output never enters the cache.
+        Sample-op errors are handled row-wise by the error policy inside
+        :func:`run_op_with_policy`.  The dedup hashing stage has no
+        row-isolated fallback: it is retried, and under a lenient policy a
+        persistent failure drops (or quarantines) the shard's rows whole
+        instead of wedging the run.  When the shard is the ``whole_input``,
+        dropping it would drop the corpus, so the dataset-level op is
+        skipped instead and every row kept (the conservative outcome),
+        signalled by raising :class:`_GlobalOpSkipped`.  Fault-shaped shard
+        output never enters the cache.
         """
         if cache_key is not None:
             cached = self.cache.load_shard_rows(cache_key)
@@ -619,50 +645,38 @@ class Executor:
                 progress["cached_shards"] += 1
                 return cached
         faults_before = self._faults.total_faults
-        stage_name = getattr(segment.global_op, "name", None) or (
-            segment.sample_ops[0].name if segment.sample_ops else "shard"
-        )
-        attempt = 0
-        while True:
+        out = self._run_sample_ops(segment, taken.pop(), shard_id)
+        global_op = segment.global_op
+        if isinstance(global_op, Deduplicator):
+            hash_shard = partial(self._hash_shard, global_op, out)
             try:
-                out = self._run_shard_ops(segment, shard, shard_id)
-                break
-            except OpExecutionError:
-                # already contextualised by the per-op policy layer (raise
-                # policy); containment does not apply
-                raise
+                out = retry_call(hash_shard, self.policy, self._faults, global_op.name, shard_id)
             except Exception as error:
-                self._faults.record_op_error(stage_name, error, shard_id)
                 if not self.policy.lenient:
                     raise OpExecutionError(
-                        describe_failure(stage_name, error, shard_id),
-                        op_name=stage_name,
+                        describe_failure(global_op.name, error, shard_id),
+                        op_name=global_op.name,
                         shard_id=shard_id,
                     ) from error
-                if attempt < self.policy.max_retries:
-                    self._faults.record_retry(stage_name, shard_id)
-                    self.policy.sleep(attempt)
-                    attempt += 1
-                    continue
-                # persistent shard failure under a lenient policy: drop the
-                # shard whole (quarantining its rows when configured) so the
-                # rest of the corpus still completes
-                self._faults.record_dropped_shard(shard_id, len(shard))
-                if self._quarantine is not None:
-                    self._quarantine.write_rows(
-                        shard, stage_name, error, shard_id=shard_id
+                if whole_input:
+                    self._faults.record_degradation(
+                        f"dataset-level op {global_op.name!r} skipped after "
+                        f"persistent failure: {error!r}"
                     )
+                    raise _GlobalOpSkipped(out) from error
+                self._faults.record_dropped_shard(shard_id, len(out))
+                if self._quarantine is not None:
+                    self._quarantine.write_rows(out, global_op.name, error, shard_id=shard_id)
                 out = NestedDataset.empty()
-                break
         if cache_key is not None and self._faults.total_faults == faults_before:
             self.cache.save_shard_rows(cache_key, out)
         progress["executed_shards"] += 1
         return out
 
-    def _run_shard_ops(
+    def _run_sample_ops(
         self, segment: StreamSegment, shard: NestedDataset, shard_id: str | None
     ) -> NestedDataset:
-        """Run one shard through its segment's sample ops + dedup hashing.
+        """Run one shard through its segment's sample ops.
 
         Every op runs under the error policy (retried, and under a lenient
         policy row-isolated so one poison row only removes itself); the
@@ -676,21 +690,24 @@ class Executor:
                     tracer=self.tracer, pool=pool, shard_id=shard_id,
                 )
                 tracking.rows_out = len(shard)
-        global_op = segment.global_op
-        if isinstance(global_op, Deduplicator):
-            # the per-sample hashing stage runs shard-local (and
-            # pool-parallel); only the clustering is global.  Timed under the
-            # dedup's report section; its rows are accounted by the resolve.
-            with self._profiler.track(global_op, rows_in=len(shard)):
-                shard = shard.map_batches(
-                    global_op.compute_hash_batched,
-                    batch_size=global_op.effective_batch_size(shard),
-                    new_fingerprint=shard.derive_fingerprint(
-                        f"{global_op.name}:hash", global_op.config()
-                    ),
-                    pool=self._ensure_pool(),
-                )
         return shard
+
+    def _hash_shard(self, global_op: Deduplicator, shard: NestedDataset) -> NestedDataset:
+        """A Deduplicator's per-sample hashing stage.
+
+        The hashing runs shard-local (and pool-parallel); only the
+        clustering is global.  Timed under the dedup's report section; its
+        rows are accounted by the resolve.
+        """
+        with self._profiler.track(global_op, rows_in=len(shard)):
+            return shard.map_batches(
+                global_op.compute_hash_batched,
+                batch_size=global_op.effective_batch_size(shard),
+                new_fingerprint=shard.derive_fingerprint(
+                    f"{global_op.name}:hash", global_op.config()
+                ),
+                pool=self._ensure_pool(),
+            )
 
     def _local_stage(
         self,
@@ -706,13 +723,13 @@ class Executor:
         an already-spilled shard is resumed instead of re-executed.
         """
         chain = stage_chain_hash(segment)
-        for index, shard in enumerate(source):
+        for index, taken in enumerate(_boxed(source)):
             if store is not None and store.has_shard(stage, index):
                 progress["resumed_shards"] += 1
                 yield store.read_shard_rows(stage, index)
                 continue
             out = self._execute_shard(
-                segment, self._shard_key(chain, shard), shard, progress,
+                segment, self._shard_key(chain, taken[0]), taken, progress,
                 self._shard_label(stage, index),
             )
             if store is not None:
@@ -726,6 +743,7 @@ class Executor:
         source: Iterator[NestedDataset],
         store: ShardStore | MemoryShardStore,
         progress: dict[str, int],
+        whole_input: bool = False,
     ) -> Iterator[NestedDataset]:
         """Two-pass execution of a segment closed by a dataset-level op.
 
@@ -733,7 +751,9 @@ class Executor:
         Deduplicators), stored, and its skinny signature columns
         accumulated.  The global op then resolves once over the signatures,
         and the returned iterator streams the stored shards back out with
-        the keep mask applied.
+        the keep mask applied.  A ``whole_input`` shard whose hashing failed
+        persistently under a lenient policy passes through with the global
+        op skipped (see :meth:`_execute_shard`).
         """
         global_op = segment.global_op
         chain = stage_chain_hash(segment)
@@ -745,17 +765,25 @@ class Executor:
         resumed = False
         row_count = 0
 
-        for index, shard in enumerate(source):
+        for index, taken in enumerate(_boxed(source)):
             if store.has_shard(stage, index):
                 progress["resumed_shards"] += 1
                 resumed = True
                 out = store.read_shard_rows(stage, index)
             else:
-                key = self._shard_key(chain, shard)
+                key = self._shard_key(chain, taken[0])
                 shard_keys.append(key)
-                out = self._execute_shard(
-                    segment, key, shard, progress, self._shard_label(stage, index)
-                )
+                try:
+                    out = self._execute_shard(
+                        segment, key, taken, progress, self._shard_label(stage, index),
+                        whole_input=whole_input,
+                    )
+                except _GlobalOpSkipped as skipped:
+                    (rows,) = skipped.args
+                    with self._profiler.track(global_op, rows_in=len(rows)) as tracking:
+                        tracking.rows_out = len(rows)
+                    progress["executed_shards"] += 1
+                    return iter([rows])
                 store.write_shard(stage, index, out)
             # columns differing across shards are None-filled when the
             # signature batches are concatenated, like a whole dataset's

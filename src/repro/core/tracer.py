@@ -80,9 +80,9 @@ class Tracer:
 
     ``records`` is in first-touch order; the executor registers every
     pipeline op before the first shard flows, so that is pipeline order even
-    for ops an empty input never reaches.  With a ``trace_dir`` each record's
-    ``trace-NNN-<op>.jsonl`` file is rewritten whenever the record changes,
-    so the files show the run's progress while it runs.
+    for ops an empty input never reaches.  With a ``trace_dir``,
+    :meth:`write_files` writes each record's ``trace-NNN-<op>.jsonl`` file;
+    the executor calls it once, at the end of a run.
     """
 
     def __init__(self, show_num: int = 10, trace_dir: str | Path | None = None):
@@ -113,13 +113,11 @@ class Tracer:
         if self._budget(record) <= 0:
             return False
         record.examples.append(example)
-        self._write(record)
         return True
 
     def _count(self, record: TraceRecord, input_size: int, output_size: int) -> TraceRecord:
         record.input_size += input_size
         record.output_size += output_size
-        self._write(record)
         return record
 
     # ------------------------------------------------------------------
@@ -176,22 +174,23 @@ class Tracer:
         return self._count(self.register(op_name, op_type), input_size, output_size)
 
     # ------------------------------------------------------------------
-    def _write(self, record: TraceRecord) -> None:
+    def write_files(self) -> None:
+        """Write one ``trace-NNN-<op>.jsonl`` file per record (no-op without a dir)."""
         if self.trace_dir is None:
             return
         self.trace_dir.mkdir(parents=True, exist_ok=True)
-        position = self.records.index(record) + 1
-        path = self.trace_dir / f"trace-{position:03d}-{record.op_name}.jsonl"
-        with path.open("w", encoding="utf-8") as handle:
-            header = {
-                "op_name": record.op_name,
-                "op_type": record.op_type,
-                "input_size": record.input_size,
-                "output_size": record.output_size,
-            }
-            handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-            for example in record.examples:
-                handle.write(json.dumps(example, ensure_ascii=False, default=repr) + "\n")
+        for position, record in enumerate(self.records, start=1):
+            path = self.trace_dir / f"trace-{position:03d}-{record.op_name}.jsonl"
+            with path.open("w", encoding="utf-8") as handle:
+                header = {
+                    "op_name": record.op_name,
+                    "op_type": record.op_type,
+                    "input_size": record.input_size,
+                    "output_size": record.output_size,
+                }
+                handle.write(json.dumps(header, ensure_ascii=False) + "\n")
+                for example in record.examples:
+                    handle.write(json.dumps(example, ensure_ascii=False, default=repr) + "\n")
 
     def summary(self) -> list[dict]:
         """Per-operator size changes, in pipeline order (drives Figure 4.(b))."""

@@ -341,36 +341,8 @@ def whitespace_counts(texts: Sequence[str]) -> list[int]:
     return char_predicate_counts(texts, "whitespace", str.isspace)
 
 
-# ----------------------------------------------------------------------
-# Per-character deletion via lazily-grown str.translate tables
-# ----------------------------------------------------------------------
-#: predicate name -> (deletion table ``{codepoint: None}``, classified chars)
-_DELETE_TABLES: dict[str, tuple[dict, set]] = {}
-
-
-def delete_matching_chars(texts: Sequence[str], name: str, predicate) -> list[str]:
-    """Remove every character matching ``predicate`` from each text.
-
-    The distinct characters of the batch are collected with one set union,
-    the Python predicate runs once per distinct character per process, and
-    texts are rewritten by ``str.translate`` only when the batch holds a
-    character to delete.  Bit-identical to
-    ``"".join(c for c in text if not predicate(c))``.
-    """
-    table, classified = _DELETE_TABLES.setdefault(name, ({}, set()))
-    present = set().union(*texts)
-    for char in present.difference(classified):
-        if predicate(char):
-            table[ord(char)] = None
-        classified.add(char)
-    if not any(ord(char) in table for char in present):
-        return list(texts)
-    return [text.translate(table) for text in texts]
-
-
 __all__ = [
     "char_predicate_counts",
-    "delete_matching_chars",
     "char_repetition_ratios",
     "digit_counts",
     "special_character_counts",

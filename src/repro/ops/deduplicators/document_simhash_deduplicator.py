@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 
 from repro.core.base_op import Deduplicator
-from repro.core.batch import get_text_column
 from repro.core.dataset import NestedDataset
 from repro.core.registry import OPERATORS
 from repro.core.sample import HashKeys
@@ -14,10 +13,9 @@ from repro.ops.common.helper_funcs import get_ngrams, get_words_from_text, words
 _FINGERPRINT_BITS = 64
 
 
-#: features hashed per document group and voted per numpy pass; bounds the
-#: (F, 64) bit matrix to 128 KiB however large the batch or the document
-#: (uint16 vote sums cannot overflow within one pass)
-_GROUP_FEATURES = 1 << 11
+def _token_hash(token: str) -> int:
+    digest = hashlib.md5(token.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
 
 
 def hamming_distance(left: int, right: int) -> int:
@@ -64,82 +62,31 @@ class DocumentSimhashDeduplicator(Deduplicator):
         self.num_blocks = num_blocks
         self.lowercase = lowercase
 
-    def _features(self, text: str) -> list[str]:
+    def _fingerprint(self, text: str) -> int:
+        import numpy as np
+
         words = words_refinement(
             get_words_from_text(text, lowercase=self.lowercase), lower_case=self.lowercase
         )
         features = get_ngrams(words, self.ngram_size) or [(word,) for word in words]
-        return [" ".join(feature) for feature in features]
-
-    def _fingerprints(self, texts: list[str]) -> list[int]:
-        """SimHash fingerprint per text, hashing and voting batch-wide.
-
-        Each feature votes +1/-1 on every fingerprint bit and a bit is set
-        when its vote total is positive; documents without features get 0.
-        Documents are grouped until a group holds ``_GROUP_FEATURES``
-        features, and each group is voted by :meth:`_vote_group`.
-        """
-        fingerprints = [0] * len(texts)
-        group: list[tuple[int, list[str]]] = []
-        group_features = 0
-        for index, text in enumerate(texts):
-            features = self._features(text)
-            if not features:
-                continue
-            group.append((index, features))
-            group_features += len(features)
-            if group_features >= _GROUP_FEATURES:
-                self._vote_group(group, fingerprints)
-                group, group_features = [], 0
-        if group:
-            self._vote_group(group, fingerprints)
-        return fingerprints
-
-    @staticmethod
-    def _vote_group(group: list[tuple[int, list[str]]], fingerprints: list[int]) -> None:
-        """Vote a document group's fingerprints into ``fingerprints``.
-
-        The md5 digests are decoded with one ``np.frombuffer``; each chunk of
-        ``_GROUP_FEATURES`` features is unpacked into an (F, 64) bit matrix
-        and summed per document with one ``np.add.reduceat``, so a document
-        larger than a chunk never needs its whole bit matrix at once.
-        """
-        import numpy as np
-
-        md5 = hashlib.md5
-        blob = b"".join(
-            md5(feature.encode("utf-8")).digest()[:8]
-            for _index, features in group
-            for feature in features
+        if not features:
+            return 0
+        hashes = np.array(
+            [_token_hash(" ".join(feature)) for feature in features], dtype=np.uint64
         )
-        hashes = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 8)
-        counts = np.array([len(features) for _index, features in group], dtype=np.int64)
-        starts = np.cumsum(counts) - counts
-        ones = np.zeros((len(group), _FINGERPRINT_BITS), dtype=np.int64)
-        for low in range(0, len(hashes), _GROUP_FEATURES):
-            high = low + _GROUP_FEATURES
-            # documents first..last-1 have features in [low, high)
-            first = int(np.searchsorted(starts, low, side="right")) - 1
-            last = int(np.searchsorted(starts, high, side="left"))
-            # column k holds bit k of each feature's little-endian 64-bit hash
-            bits = np.unpackbits(hashes[low:high], axis=1, bitorder="little")
-            offsets = np.maximum(starts[first:last], low) - low
-            ones[first:last] += np.add.reduceat(bits, offsets, axis=0, dtype=np.uint16)
-        set_bits = (2 * ones - counts[:, None]) > 0
-        values = np.packbits(set_bits, axis=1, bitorder="little").view("<u8").ravel().tolist()
-        for (index, _features), value in zip(group, values):
-            fingerprints[index] = value
+        # (F, 64) bit matrix; each feature votes +1/-1 on every fingerprint bit
+        bit_positions = np.arange(_FINGERPRINT_BITS, dtype=np.uint64)
+        bits = (hashes[:, None] >> bit_positions[None, :]) & np.uint64(1)
+        votes = 2 * bits.sum(axis=0).astype(np.int64) - len(features)
+        fingerprint = 0
+        for bit in range(_FINGERPRINT_BITS):
+            if votes[bit] > 0:
+                fingerprint |= 1 << bit
+        return fingerprint
 
     def compute_hash(self, sample: dict) -> dict:
-        sample[HashKeys.simhash] = self._fingerprints([self.get_text(sample)])[0]
+        sample[HashKeys.simhash] = self._fingerprint(self.get_text(sample))
         return sample
-
-    def compute_hash_batched(self, samples: dict) -> dict:
-        texts = get_text_column(samples, self.text_key)
-        if texts is None:
-            return super().compute_hash_batched(samples)
-        samples[HashKeys.simhash] = self._fingerprints(texts)
-        return samples
 
     def _blocks(self, fingerprint: int) -> list[tuple[int, int]]:
         bits_per_block = _FINGERPRINT_BITS // self.num_blocks

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.core.base_op import Mapper
-from repro.core.batch import get_text_column, set_text_column
 from repro.core.registry import OPERATORS
 
 PUNCTUATION_MAP = {
@@ -14,9 +13,6 @@ PUNCTUATION_MAP = {
     "…": "...", "━": "-", "〈": "<", "〉": ">", "【": "[", "】": "]", "％": "%",
     "►": "-",
 }
-
-#: single-pass translation table equivalent to the per-character mapping
-_PUNCTUATION_TABLE = str.maketrans(PUNCTUATION_MAP)
 
 
 @OPERATORS.register_module("punctuation_normalization_mapper")
@@ -30,10 +26,3 @@ class PunctuationNormalizationMapper(Mapper):
         text = self.get_text(sample)
         normalized = "".join(PUNCTUATION_MAP.get(char, char) for char in text)
         return self.set_text(sample, normalized)
-
-    def process_batched(self, samples: dict) -> dict:
-        texts = get_text_column(samples, self.text_key)
-        if texts is None:
-            return super().process_batched(samples)
-        table = _PUNCTUATION_TABLE
-        return set_text_column(samples, self.text_key, [text.translate(table) for text in texts])

@@ -285,6 +285,46 @@ class TestWholeShardQuarantine:
         assert len(entries) == 10
         assert all(entry["shard"] for entry in entries)
 
+    @pytest.mark.parametrize("on_error", ["skip", "quarantine"])
+    def test_memory_mode_skips_the_dedup_and_keeps_every_row(self, tmp_path, on_error):
+        # in memory the one shard is the whole input: dropping it would drop
+        # the corpus, so the dedup is skipped instead and every row kept —
+        # including the planted duplicate a clean run would remove
+        rows = [
+            {"text": f"{row['text'].strip()} document number {index}"}
+            for index, row in enumerate(c4_like(num_samples=40, seed=23).to_list()[:30])
+        ]
+        rows[12] = {"text": rows[12]["text"] + " " + MARKER}
+        rows.append(dict(rows[3]))
+        mapped_config = {
+            "process": [{"whitespace_normalization_mapper": {}}],
+            "export_path": str(tmp_path / "mapped.jsonl"),
+            "work_dir": str(tmp_path / "work-mapped"),
+        }
+        Executor(mapped_config).run(NestedDataset.from_list(rows))
+        mapped_lines = export_lines(tmp_path / "mapped.jsonl")
+        assert len(mapped_lines) == 31
+
+        config = {
+            "process": [
+                {"whitespace_normalization_mapper": {}},
+                {"document_deduplicator": {}},
+            ],
+            "export_path": str(tmp_path / "out.jsonl"),
+            "work_dir": str(tmp_path / "work"),
+            "on_error": on_error,
+        }
+        executor = Executor(config)
+        FaultPlan().inject("document_deduplicator", match=MARKER).install(executor.ops)
+        executor.run(NestedDataset.from_list(rows))
+
+        assert export_lines(tmp_path / "out.jsonl") == mapped_lines
+        faults = executor.last_report["faults"]
+        assert faults["degradations"] == 1
+        assert faults["quarantined_shards"] == 0
+        assert faults["quarantined_rows"] == 0
+        assert faults["op_errors"]["document_deduplicator"] == 1
+
 
 class TestCrashResumeComposesWithFaults:
     def test_streaming_crash_then_resume_is_byte_identical(self, tmp_path):

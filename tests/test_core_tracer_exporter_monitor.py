@@ -49,6 +49,7 @@ class TestTracer:
         tracer = Tracer(trace_dir=tmp_path)
         before, after = before_after()
         tracer.trace_mapper("upper", before, after)
+        tracer.write_files()
         files = list(tmp_path.glob("trace-*.jsonl"))
         assert len(files) == 1
         header = json.loads(files[0].read_text().splitlines()[0])

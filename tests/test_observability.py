@@ -136,13 +136,15 @@ class TestShardAccumulatingTracer:
         assert (record.input_size, record.output_size) == (4, 2)
         assert [example["index"] for example in record.examples] == [1, 2]
 
-    def test_trace_file_rewritten_in_place(self, tmp_path):
+    def test_one_trace_file_per_accumulated_record(self, tmp_path):
         from repro.core.dataset import NestedDataset
 
         tracer = Tracer(show_num=2, trace_dir=tmp_path)
         dataset = NestedDataset.from_list([{"text": "a"}])
         tracer.trace_filter("f", dataset, dataset)
         tracer.trace_filter("f", dataset, dataset)
+        assert not list(tmp_path.glob("trace-*.jsonl"))  # written once, at the end
+        tracer.write_files()
         assert len(tracer.records) == 1
         (path,) = tmp_path.glob("trace-*.jsonl")
         header = json.loads(path.read_text().splitlines()[0])
@@ -194,6 +196,17 @@ class TestReportParity:
         for report in (memory.last_report, stream_report):
             assert all(op.wall_time_s > 0 for op in report.ops)
             assert all(op.max_rss_mb > 0 for op in report.ops)
+        # each run writes one trace file per op, matching its trace summary
+        for work_dir, report in (("wm", memory.last_report), ("ws", stream_report)):
+            paths = sorted((tmp_path / work_dir / "trace").glob("trace-*.jsonl"))
+            headers = [json.loads(path.read_text().splitlines()[0]) for path in paths]
+            assert [
+                (header["op_name"], header["input_size"], header["output_size"])
+                for header in headers
+            ] == [
+                (entry["op_name"], entry["input_size"], entry["output_size"])
+                for entry in report["trace"]
+            ]
 
     def test_reports_persisted_to_work_dir(self, tmp_path):
         input_path = write_jsonl(tmp_path / "in.jsonl", messy_corpus_rows(40))

@@ -6,7 +6,14 @@ the baseline pipelines (both baselines load the whole dataset and keep full
 per-stage copies).  Here the three workloads are the synthetic books-like,
 arXiv-like and C4-like corpora and the "process count" dimension is replaced
 by the corpus scale (the single-process substrate).
+
+Each system's time and heap peak are the medians of :data:`TIMED_RUNS`
+measured runs per workload, with the system order reversed on every other
+repeat so a slow phase of a shared host slows all three alike; a single run
+per system flips the "never slower" gate on a loaded host.
 """
+
+import statistics
 
 from conftest import print_table, run_once
 
@@ -21,6 +28,9 @@ WORKLOADS = {
     "arXiv": (arxiv_like, {"num_samples": 150, "seed": 2}, "pretrain-arxiv-refine-en"),
     "C4": (c4_like, {"num_samples": 250, "seed": 3}, "pretrain-c4-refine-en"),
 }
+
+#: measured runs per system per workload whose medians the gates compare
+TIMED_RUNS = 5
 
 
 def _measure(run) -> dict:
@@ -43,17 +53,24 @@ def reproduce_figure8() -> list[dict]:
         RedPajamaLikePipeline(process).run(warmup)
         DolmaLikePipeline(process).run(warmup)
 
-        juicer = _measure(lambda: Executor({"process": process, "op_fusion": True}).run(corpus))
-        redpajama = _measure(lambda: RedPajamaLikePipeline(process).run(corpus))
-        dolma = _measure(lambda: DolmaLikePipeline(process).run(corpus))
+        systems = {
+            "Data-Juicer": lambda: Executor({"process": process, "op_fusion": True}).run(corpus),
+            "RedPajama": lambda: RedPajamaLikePipeline(process).run(corpus),
+            "Dolma": lambda: DolmaLikePipeline(process).run(corpus),
+        }
+        runs: dict[str, list[dict]] = {system: [] for system in systems}
+        for repeat in range(TIMED_RUNS):
+            order = list(systems) if repeat % 2 == 0 else list(reversed(systems))
+            for system in order:
+                runs[system].append(_measure(systems[system]))
 
-        for system, report in (("Data-Juicer", juicer), ("RedPajama", redpajama), ("Dolma", dolma)):
+        for system, reports in runs.items():
             rows.append(
                 {
                     "workload": workload,
                     "system": system,
-                    "time_s": report["wall_time_s"],
-                    "peak_mem_mb": report["peak_python_mb"],
+                    "time_s": statistics.median(r["wall_time_s"] for r in reports),
+                    "peak_mem_mb": statistics.median(r["peak_python_mb"] for r in reports),
                 }
             )
     return rows

@@ -40,8 +40,10 @@ BENCH_FILE = Path(__file__).parent.parent / "BENCH_stream.json"
 MAX_SHARD_ROWS = 600
 NUM_SAMPLES = 6000  # 10x the shard budget
 
-#: warm runs per engine whose median wall-clock the throughput gate compares
-TIMED_RUNS = 5
+#: warm runs per engine whose median wall-clock the throughput gate compares;
+#: at 5, phases of CPU steal on a shared 2-core host pushed the wall-clock
+#: ratio past the bound while the engines' CPU-time ratio stayed below it
+TIMED_RUNS = 9
 
 PROCESS = [
     {"whitespace_normalization_mapper": {}},

@@ -12,12 +12,14 @@ configured codec.  The executor stores two kinds of entries:
 
 * **shard entries** (``save_shard_rows`` / ``load_shard_rows``): one
   processed shard of a pipeline stage, keyed by ``(op fingerprint chain,
-  shard signature)`` via :meth:`CacheManager.make_shard_key`; counted as
-  ``shard_hits`` / ``shard_misses``.
+  shard signature)`` via :meth:`CacheManager.make_shard_key`.
 * **resolve entries** (``save`` / ``load``): the keep mask of one global
   resolve (Deduplicators, Selectors), keyed on the stage chain and the
-  ordered shard keys via :meth:`CacheManager.make_resolve_key`; counted as
-  ``resolve_hits`` / ``resolve_misses``.
+  ordered shard keys via :meth:`CacheManager.make_resolve_key`.
+
+The cache only reads and writes entries; the executor counts each run's
+hits and misses (``shard_hits`` / ``shard_misses`` / ``resolve_hits`` /
+``resolve_misses``) in that run's :class:`repro.core.monitor.RunLedger`.
 """
 
 from __future__ import annotations
@@ -77,10 +79,6 @@ class CacheManager:
         self.cache_dir = Path(cache_dir)
         self.compression = compression
         self.enabled = enabled
-        self.shard_hits = 0
-        self.shard_misses = 0
-        self.resolve_hits = 0
-        self.resolve_misses = 0
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -142,15 +140,8 @@ class CacheManager:
         return self._write(key, value) if self.enabled else None
 
     def load(self, key: str) -> Any:
-        """Replay a value saved by :meth:`save`; None (a resolve miss) when absent."""
-        if not self.enabled:
-            return None
-        value = self._read(key)
-        if value is None:
-            self.resolve_misses += 1
-        else:
-            self.resolve_hits += 1
-        return value
+        """Replay a value saved by :meth:`save`; None when absent or unreadable."""
+        return self._read(key) if self.enabled else None
 
     def save_shard_rows(self, key: str, rows: list[dict]) -> Path | None:
         """Cache one processed shard of a pipeline stage.
@@ -162,24 +153,8 @@ class CacheManager:
         return self._write(key, rows) if self.enabled else None
 
     def load_shard_rows(self, key: str) -> list[dict] | None:
-        """Replay a cached shard; returns None (and counts a miss) when absent."""
-        if not self.enabled:
-            return None
-        rows = self._read(key)
-        if rows is None:
-            self.shard_misses += 1
-        else:
-            self.shard_hits += 1
-        return rows
-
-    def counters(self) -> dict[str, int]:
-        """Hit/miss counters of both entry kinds (for run reports)."""
-        return {
-            "shard_hits": self.shard_hits,
-            "shard_misses": self.shard_misses,
-            "resolve_hits": self.resolve_hits,
-            "resolve_misses": self.resolve_misses,
-        }
+        """Replay a cached shard; None when absent or unreadable."""
+        return self._read(key) if self.enabled else None
 
     def contains(self, key: str) -> bool:
         """Return True when a cache entry exists for ``key``."""

@@ -22,10 +22,11 @@ and routes every batched stage through it.  The pool survives across runs —
 close the executor (or use it as a context manager) to shut the workers down.
 
 Every run emits a unified :class:`repro.core.report.RunReport`
-(``last_report``, also persisted to ``<work_dir>/report.json``): per-op rows
-in/out, wall time, throughput and peak RSS from the
-:class:`repro.core.monitor.RunProfiler`, plus shard progress, cache
-counters, the tracer summary and the run-level resource profile.
+(``last_report``, also persisted to ``<work_dir>/report.json``).  Its per-op
+sections (rows in/out, wall time, throughput, peak RSS), shard progress,
+cache hits/misses and fault counters are views of the run's
+:class:`repro.core.monitor.RunLedger`; the tracer summary and the run-level
+resource profile complete it.
 """
 
 from __future__ import annotations
@@ -45,14 +46,13 @@ from repro.core.dataset import NestedDataset, _stable_hash
 from repro.core.exporter import Exporter
 from repro.core.faults import (
     ErrorPolicy,
-    FaultTracker,
     QuarantineWriter,
     describe_failure,
     retry_call,
     run_op_with_policy,
 )
 from repro.core.fusion import describe_plan
-from repro.core.monitor import ResourceMonitor, RunProfiler
+from repro.core.monitor import ResourceMonitor, RunLedger
 from repro.core.planner import ExecutionPlan, ResourceBudget, plan_execution
 from repro.core.report import REPORT_FILE, RunReport
 from repro.core.sample import Fields, HashKeys
@@ -137,10 +137,10 @@ class Executor:
         self._planner_payload: dict | None = None
         self._pool: WorkerPool | None = None
         self._shared_pool = bool(shared_pool)
-        self._profiler = RunProfiler()
         #: the fault policy of every run of this executor (from the recipe)
         self.policy = ErrorPolicy.from_config(self.cfg)
-        self._faults = FaultTracker()
+        #: everything the current (or most recent) run counts; fresh per run
+        self.ledger = RunLedger()
         self._quarantine: QuarantineWriter | None = None
 
     # ------------------------------------------------------------------
@@ -177,29 +177,13 @@ class Executor:
                     rebuild_backoff_s=self.policy.backoff_s,
                 )
         # the pool outlives individual runs; point it at the current ledger
-        self._pool.fault_tracker = self._faults
+        self._pool.ledger = self.ledger
         return self._pool
 
     # ------------------------------------------------------------------
-    def _begin_faults(self) -> None:
-        """Start a fresh fault ledger (and quarantine export) for one run."""
-        self._faults = FaultTracker()
-        if self._pool is not None:
-            self._pool.fault_tracker = self._faults
-        self._quarantine = (
-            QuarantineWriter(Path(self.cfg.work_dir) / "quarantine")
-            if self.policy.on_error == "quarantine"
-            else None
-        )
-
-    def _end_faults(self) -> None:
-        """Flush and detach the quarantine export after a run."""
-        if self._quarantine is not None:
-            self._quarantine.close()
-
     def _faults_payload(self) -> dict:
-        """The report's ``faults`` section: policy + every counter."""
-        payload = self._faults.as_dict()
+        """The report's ``faults`` section: every counter + the policy."""
+        payload = self.ledger.faults()
         payload["policy"] = self.policy.as_dict()
         if self._quarantine is not None and self._quarantine.paths:
             payload["quarantine_paths"] = [str(path) for path in self._quarantine.paths]
@@ -384,19 +368,20 @@ class Executor:
         memory run, ``None`` for a streaming run.
         """
         monitor = ResourceMonitor()
-        self._profiler = RunProfiler()
+        ledger = self.ledger = RunLedger()
+        self._quarantine = (
+            QuarantineWriter(Path(self.cfg.work_dir) / "quarantine")
+            if self.policy.on_error == "quarantine"
+            else None
+        )
         tracer = self.tracer = (
             Tracer(show_num=self.cfg.trace_num, trace_dir=Path(self.cfg.work_dir) / "trace")
             if self.cfg.open_tracer
             else None
         )
-        progress = dict.fromkeys(
-            ("input_shards", "resumed_shards", "executed_shards", "cached_shards"), 0
-        )
         collected: NestedDataset | None = None
         export_paths: list[str] = []
         total_rows = 0
-        self._begin_faults()
         with monitor:
             segments = plan_segments(self.ops)
             if tracer is not None:
@@ -409,15 +394,13 @@ class Executor:
                 dataset = self._load_input(dataset)
                 shard_rows = shard_chars = None
                 pending = [dataset] if len(dataset) else []
-                progress["input_shards"] = len(pending)
+                ledger.count("input_shards", len(pending))
                 # popped, not iterated: nothing keeps the input once handed out
                 source: Iterator[NestedDataset] = (pending.pop() for _ in range(len(pending)))
             else:
                 shard_rows, shard_chars = self.cfg.max_shard_rows, self.cfg.max_shard_chars
                 formatter = self._input_formatter() if dataset is None else None
-                source = self._input_shards(
-                    dataset, formatter, shard_rows, shard_chars, progress
-                )
+                source = self._input_shards(dataset, formatter, shard_rows, shard_chars)
             store, persistent = self._open_store(memory, dataset, formatter)
             # from here on the source holds the only reference to a loaded
             # input, so its first op frees it (see _execute_shard)
@@ -426,13 +409,13 @@ class Executor:
                 for stage, segment in enumerate(segments):
                     if segment.global_op is not None:
                         source = self._resolved_stage(
-                            stage, segment, source, store, progress, whole_input=memory
+                            stage, segment, source, store, whole_input=memory
                         )
                     else:
                         # the final segment spills only when checkpointing,
                         # so a crash during export still resumes mid-corpus
                         source = self._local_stage(
-                            stage, segment, source, store if persistent else None, progress
+                            stage, segment, source, store if persistent else None
                         )
                 if memory:
                     shards = list(source)
@@ -450,7 +433,8 @@ class Executor:
                         source, shard_output, shard_rows, shard_chars
                     )
             finally:
-                self._end_faults()
+                if self._quarantine is not None:
+                    self._quarantine.close()
                 if not persistent:
                     # failed runs must not leak a pickled copy of the corpus
                     store.clear()
@@ -463,13 +447,13 @@ class Executor:
             mode="memory" if memory else "streaming",
             plan=self.plan,
             num_output_samples=total_rows,
-            ops=self._profiler.reports(),
+            ops=ledger.reports(),
             segments=len(segments),
-            shards=progress,
+            shards=ledger.section("shards"),
             shard_budget={"max_shard_rows": shard_rows, "max_shard_chars": shard_chars},
             export_paths=export_paths,
             resources=monitor.report.as_dict() if monitor.report else {},
-            cache=self.cache.counters(),
+            cache=ledger.section("cache"),
             trace=tracer.summary() if tracer else [],
             parallel=self._parallel_payload(),
             planner=self._planner_payload,
@@ -577,14 +561,13 @@ class Executor:
         formatter: Any,
         shard_rows: int | None,
         shard_chars: int | None,
-        progress: dict[str, int],
     ) -> Iterator[NestedDataset]:
         """Lazily chunk the input into bounded shards, never materialising it."""
         records: Any = iter(dataset) if dataset is not None else formatter.iter_records()
         for rows in iter_record_shards(
             records, max_rows=shard_rows, max_chars=shard_chars, text_key=Fields.text
         ):
-            progress["input_shards"] += 1
+            self.ledger.count("input_shards")
             yield NestedDataset.from_list(rows)
 
     @staticmethod
@@ -612,7 +595,6 @@ class Executor:
         segment: StreamSegment,
         cache_key: str | None,
         taken: list[NestedDataset],
-        progress: dict[str, int],
         shard_id: str | None = None,
         whole_input: bool = False,
     ) -> NestedDataset:
@@ -635,22 +617,24 @@ class Executor:
         signalled by raising :class:`_GlobalOpSkipped`.  Fault-shaped shard
         output never enters the cache.
         """
+        ledger = self.ledger
         if cache_key is not None:
             cached = self.cache.load_shard_rows(cache_key)
+            ledger.count("shard_misses" if cached is None else "shard_hits")
             if cached is not None:
                 for op in segment.sample_ops:
-                    self._profiler.record_cached(op, len(cached))
+                    ledger.record_cached(op)
                 if isinstance(segment.global_op, Deduplicator):
-                    self._profiler.record_cached(segment.global_op, len(cached))
-                progress["cached_shards"] += 1
+                    ledger.record_cached(segment.global_op)
+                ledger.count("cached_shards")
                 return cached
-        faults_before = self._faults.total_faults
+        faults_before = ledger.total_faults
         out = self._run_sample_ops(segment, taken.pop(), shard_id)
         global_op = segment.global_op
         if isinstance(global_op, Deduplicator):
             hash_shard = partial(self._hash_shard, global_op, out)
             try:
-                out = retry_call(hash_shard, self.policy, self._faults, global_op.name, shard_id)
+                out = retry_call(hash_shard, self.policy, ledger, global_op.name, shard_id)
             except Exception as error:
                 if not self.policy.lenient:
                     raise OpExecutionError(
@@ -659,18 +643,19 @@ class Executor:
                         shard_id=shard_id,
                     ) from error
                 if whole_input:
-                    self._faults.record_degradation(
+                    ledger.fault(
+                        "degradation",
                         f"dataset-level op {global_op.name!r} skipped after "
-                        f"persistent failure: {error!r}"
+                        f"persistent failure: {error!r}",
                     )
                     raise _GlobalOpSkipped(out) from error
-                self._faults.record_dropped_shard(shard_id, len(out))
+                ledger.fault("quarantine_shard", f"shard dropped ({len(out)} rows)", shard=shard_id)
                 if self._quarantine is not None:
                     self._quarantine.write_rows(out, global_op.name, error, shard_id=shard_id)
                 out = NestedDataset.empty()
-        if cache_key is not None and self._faults.total_faults == faults_before:
+        if cache_key is not None and ledger.total_faults == faults_before:
             self.cache.save_shard_rows(cache_key, out)
-        progress["executed_shards"] += 1
+        ledger.count("executed_shards")
         return out
 
     def _run_sample_ops(
@@ -684,12 +669,12 @@ class Executor:
         """
         for op in segment.sample_ops:
             pool = self._ensure_pool()
-            with self._profiler.track(op, rows_in=len(shard)) as tracking:
+            with self.ledger.track(op, rows_in=len(shard)) as rows_out:
                 shard = run_op_with_policy(
-                    op, shard, self.policy, self._faults, self._quarantine,
+                    op, shard, self.policy, self.ledger, self._quarantine,
                     tracer=self.tracer, pool=pool, shard_id=shard_id,
                 )
-                tracking.rows_out = len(shard)
+                rows_out(len(shard))
         return shard
 
     def _hash_shard(self, global_op: Deduplicator, shard: NestedDataset) -> NestedDataset:
@@ -699,7 +684,7 @@ class Executor:
         clustering is global.  Timed under the dedup's report section; its
         rows are accounted by the resolve.
         """
-        with self._profiler.track(global_op, rows_in=len(shard)):
+        with self.ledger.track(global_op, rows_in=len(shard)):
             return shard.map_batches(
                 global_op.compute_hash_batched,
                 batch_size=global_op.effective_batch_size(shard),
@@ -715,7 +700,6 @@ class Executor:
         segment: StreamSegment,
         source: Iterator[NestedDataset],
         store: ShardStore | None,
-        progress: dict[str, int],
     ) -> Iterator[NestedDataset]:
         """Shard-local transform of a segment with no global op.
 
@@ -725,11 +709,11 @@ class Executor:
         chain = stage_chain_hash(segment)
         for index, taken in enumerate(_boxed(source)):
             if store is not None and store.has_shard(stage, index):
-                progress["resumed_shards"] += 1
+                self.ledger.count("resumed_shards")
                 yield store.read_shard_rows(stage, index)
                 continue
             out = self._execute_shard(
-                segment, self._shard_key(chain, taken[0]), taken, progress,
+                segment, self._shard_key(chain, taken[0]), taken,
                 self._shard_label(stage, index),
             )
             if store is not None:
@@ -742,7 +726,6 @@ class Executor:
         segment: StreamSegment,
         source: Iterator[NestedDataset],
         store: ShardStore | MemoryShardStore,
-        progress: dict[str, int],
         whole_input: bool = False,
     ) -> Iterator[NestedDataset]:
         """Two-pass execution of a segment closed by a dataset-level op.
@@ -761,13 +744,14 @@ class Executor:
         signature_batches: list[dict] = []
         shard_row_counts: list[int] = []
         shard_keys: list[str | None] = []
-        faults_before = self._faults.total_faults
+        ledger = self.ledger
+        faults_before = ledger.total_faults
         resumed = False
         row_count = 0
 
         for index, taken in enumerate(_boxed(source)):
             if store.has_shard(stage, index):
-                progress["resumed_shards"] += 1
+                ledger.count("resumed_shards")
                 resumed = True
                 out = store.read_shard_rows(stage, index)
             else:
@@ -775,14 +759,14 @@ class Executor:
                 shard_keys.append(key)
                 try:
                     out = self._execute_shard(
-                        segment, key, taken, progress, self._shard_label(stage, index),
+                        segment, key, taken, self._shard_label(stage, index),
                         whole_input=whole_input,
                     )
                 except _GlobalOpSkipped as skipped:
                     (rows,) = skipped.args
-                    with self._profiler.track(global_op, rows_in=len(rows)) as tracking:
-                        tracking.rows_out = len(rows)
-                    progress["executed_shards"] += 1
+                    with ledger.track(global_op, rows_in=len(rows)) as rows_out:
+                        rows_out(len(rows))
+                    ledger.count("executed_shards")
                     return iter([rows])
                 store.write_shard(stage, index, out)
             # columns differing across shards are None-filled when the
@@ -799,7 +783,7 @@ class Executor:
         # a resolve over resumed or fault-shaped shards describes rows the
         # shard keys do not (resumed shards have no key at all): never cache it
         resolve_key = None
-        if self.cache.enabled and not resumed and self._faults.total_faults == faults_before:
+        if self.cache.enabled and not resumed and ledger.total_faults == faults_before:
             resolve_key = CacheManager.make_resolve_key(
                 _stable_hash([chain, op_config_hash(global_op)]),
                 shard_keys,
@@ -829,29 +813,32 @@ class Executor:
         lenient policy degrades to a keep-everything mask (the conservative
         outcome — no row is wrongly dropped).
         """
+        ledger = self.ledger
         if resolve_key is not None:
             cached = self.cache.load(resolve_key)
+            ledger.count("resolve_misses" if cached is None else "resolve_hits")
             if cached is not None:
-                self._profiler.record_cached(global_op, sum(cached[0]))
+                ledger.record_cached(global_op)
                 return cached
         signature = NestedDataset.from_batches(signature_batches)
         resolve = partial(resolve_global_keep, global_op, signature)
         pair_budget = self._pair_budget(global_op)
         if pair_budget:
             resolve = partial(resolve, show_num=pair_budget)
-        faults_before = self._faults.total_faults
-        with self._profiler.track(global_op, rows_in=len(signature)) as tracking:
+        faults_before = ledger.total_faults
+        with ledger.track(global_op, rows_in=len(signature)) as rows_out:
             try:
-                result = retry_call(resolve, self.policy, self._faults, global_op.name)
+                result = retry_call(resolve, self.policy, ledger, global_op.name)
             except Exception as error:
                 if not self.policy.lenient:
                     raise OpExecutionError(
                         describe_failure(global_op.name, error),
                         op_name=global_op.name,
                     ) from error
-                self._faults.record_degradation(
+                ledger.fault(
+                    "degradation",
                     f"global resolve of {global_op.name!r} skipped after "
-                    f"persistent failure: {error!r}"
+                    f"persistent failure: {error!r}",
                 )
                 present = set(signature.column_names)
                 result = (
@@ -860,8 +847,8 @@ class Executor:
                      if name in present},
                     [],
                 )
-            tracking.rows_out = sum(result[0])
-        if resolve_key is not None and self._faults.total_faults == faults_before:
+            rows_out(sum(result[0]))
+        if resolve_key is not None and ledger.total_faults == faults_before:
             self.cache.save(resolve_key, result)
         return result
 

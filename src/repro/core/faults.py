@@ -12,14 +12,19 @@ them:
   / ``task_timeout_s`` / ``max_pool_rebuilds``), threaded from
   :class:`repro.core.config.RecipeConfig` through the fluent API, the CLI and
   both executors.
-* :func:`run_op_with_policy` — the engine-side wrapper around ``op.run``:
-  retry with capped exponential backoff, then (under a lenient policy)
-  per-row isolation for Mappers/Filters so one poison row never takes its
-  batch down, or a recorded degradation-skip for dataset-level ops.
+* :func:`retry_call` — the one retry loop with capped exponential backoff;
+  every engine stage that retries (an op call, a single row, a
+  Deduplicator's hashing stage, a global resolve) goes through it.
+* :func:`run_op_with_policy` — the engine-side wrapper around ``op.run`` for
+  Mappers/Filters: retried, then (under a lenient policy) re-run row by row
+  so one poison row never takes its batch down.  Deduplicators and
+  Selectors degrade in the executor, which owns their global stage.
 * :class:`QuarantineWriter` — the ``quarantine-00001.jsonl.gz`` export of
   dropped rows (payload + op name + exception repr + shard id + row index).
-* :class:`FaultTracker` — the counters behind the report's ``faults``
-  section; every retry, rebuild, quarantine and degradation is accounted.
+
+Every retry, op error, quarantine and degradation is accounted in the run's
+:class:`repro.core.monitor.RunLedger`, whose fault counters become the
+report's ``faults`` section.
 
 Operators are lint-certified pure functions of their config (see
 ``docs/linting.md``), which is what makes retrying and per-row replay safe:
@@ -32,12 +37,14 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterable
 
 from repro.core.base_op import Filter, Mapper
 from repro.core.dataset import NestedDataset, _stable_hash
 from repro.core.errors import ConfigError, OpExecutionError
+from repro.core.monitor import RunLedger
 from repro.core.serialization import JsonSanitizer
 
 logger = logging.getLogger(__name__)
@@ -47,9 +54,6 @@ ERROR_POLICIES = ("raise", "skip", "quarantine")
 
 #: upper bound on any single backoff sleep, so exponential growth stays sane
 BACKOFF_CAP_S = 2.0
-
-#: bounded length of the tracker's detailed event log
-MAX_FAULT_EVENTS = 50
 
 #: how many rows the failing-row probe inspects before giving up
 ROW_PROBE_LIMIT = 2048
@@ -131,116 +135,6 @@ class ErrorPolicy:
             "backoff_s": self.backoff_s,
             "task_timeout_s": self.task_timeout_s,
             "max_pool_rebuilds": self.max_pool_rebuilds,
-        }
-
-
-class FaultTracker:
-    """Mutable per-run accounting of every fault-tolerance action.
-
-    One tracker lives for the duration of one executor run; its
-    :meth:`as_dict` becomes the ``faults`` section of the
-    :class:`repro.core.report.RunReport`.  The worker pool shares the same
-    instance (via ``WorkerPool.fault_tracker``) so pool rebuilds and
-    degradations land in the same ledger as row quarantines.
-    """
-
-    def __init__(self) -> None:
-        #: retry attempts across every granularity (op call, row, shard)
-        self.retries = 0
-        #: worker-pool reconstructions after a dead/hung-worker detection
-        self.pool_rebuilds = 0
-        #: times an engine gave up on an op or on parallelism and continued
-        self.degradations = 0
-        #: rows dropped to the quarantine export
-        self.quarantined_rows = 0
-        #: rows silently dropped under ``on_error=skip``
-        self.skipped_rows = 0
-        #: whole shards dropped (to quarantine or skipped) in streaming mode
-        self.quarantined_shards = 0
-        #: op name -> number of exceptions observed from that op
-        self.op_errors: dict[str, int] = {}
-        #: bounded detail log of individual fault events
-        self.events: list[dict] = []
-
-    # ------------------------------------------------------------------
-    @property
-    def total_faults(self) -> int:
-        """Monotonic sum of every counter — cheap change detection.
-
-        The executors snapshot this before an op and skip the cache save
-        when it moved: results shaped by fault handling must never poison
-        the clean-run cache.
-        """
-        return (
-            self.retries
-            + self.pool_rebuilds
-            + self.degradations
-            + self.quarantined_rows
-            + self.skipped_rows
-            + self.quarantined_shards
-            + sum(self.op_errors.values())
-        )
-
-    def _event(self, kind: str, detail: str, **extra: Any) -> None:
-        if len(self.events) < MAX_FAULT_EVENTS:
-            self.events.append({"kind": kind, "detail": detail, **extra})
-
-    # ------------------------------------------------------------------
-    def record_op_error(
-        self, op_name: str, error: BaseException, shard_id: str | None = None
-    ) -> None:
-        """Account one exception raised by (or while running) ``op_name``."""
-        self.op_errors[op_name] = self.op_errors.get(op_name, 0) + 1
-        self._event("op_error", repr(error), op=op_name, shard=shard_id)
-
-    def record_retry(self, op_name: str, shard_id: str | None = None) -> None:
-        """Account one retry attempt for ``op_name``."""
-        self.retries += 1
-        self._event("retry", f"retrying {op_name}", op=op_name, shard=shard_id)
-
-    def record_rebuild(self, detail: str) -> None:
-        """Account one worker-pool reconstruction."""
-        self.pool_rebuilds += 1
-        self._event("pool_rebuild", detail)
-
-    def record_degradation(self, detail: str) -> None:
-        """Account one degradation (op skipped, or pool fell back to serial)."""
-        self.degradations += 1
-        self._event("degradation", detail)
-        logger.warning("degraded execution: %s", detail)
-
-    def record_dropped_rows(
-        self, op_name: str, count: int, quarantined: bool, shard_id: str | None = None
-    ) -> None:
-        """Account rows dropped by the policy (quarantined or skipped)."""
-        if quarantined:
-            self.quarantined_rows += count
-        else:
-            self.skipped_rows += count
-        self._event(
-            "quarantine_rows" if quarantined else "skip_rows",
-            f"{count} row(s) dropped at {op_name}",
-            op=op_name,
-            shard=shard_id,
-        )
-
-    def record_dropped_shard(self, shard_id: str | None, rows: int) -> None:
-        """Account one whole shard dropped after persistent failure."""
-        self.quarantined_shards += 1
-        self._event("quarantine_shard", f"shard dropped ({rows} rows)", shard=shard_id)
-
-    # ------------------------------------------------------------------
-    def as_dict(self) -> dict:
-        """JSON-safe view — the ``faults`` section of the run report."""
-        return {
-            "retries": self.retries,
-            "pool_rebuilds": self.pool_rebuilds,
-            "degradations": self.degradations,
-            "quarantined_rows": self.quarantined_rows,
-            "skipped_rows": self.skipped_rows,
-            "quarantined_shards": self.quarantined_shards,
-            "op_errors": dict(self.op_errors),
-            "events": list(self.events),
         }
 
 
@@ -376,7 +270,7 @@ def _isolate_rows(
     op: Any,
     dataset: NestedDataset,
     policy: ErrorPolicy,
-    tracker: FaultTracker,
+    ledger: RunLedger,
     quarantine: QuarantineWriter | None,
     tracer: Any = None,
     shard_id: str | None = None,
@@ -397,26 +291,22 @@ def _isolate_rows(
     dropped: list[int] = []
     for index in range(len(dataset)):
         row_in = dict(dataset[index])
-        attempt = 0
-        while True:
-            try:
-                keep, row_out = _run_single_row(op, dict(row_in))
-                break
-            except Exception as error:
-                tracker.record_op_error(op.name, error, shard_id)
-                if attempt < policy.max_retries:
-                    tracker.record_retry(op.name, shard_id)
-                    policy.sleep(attempt)
-                    attempt += 1
-                    continue
-                keep, row_out = False, None
-                dropped.append(index)
-                tracker.record_dropped_rows(op.name, 1, quarantined, shard_id)
-                if quarantine is not None and quarantined:
-                    quarantine.write(
-                        row_in, op.name, error, shard_id=shard_id, row_index=index
-                    )
-                break
+        try:
+            # each attempt gets its own copy: an op may edit the row in place
+            keep, row_out = retry_call(
+                lambda: _run_single_row(op, dict(row_in)), policy, ledger, op.name, shard_id
+            )
+        except Exception as error:
+            dropped.append(index)
+            ledger.fault(
+                "quarantine_rows" if quarantined else "skip_rows",
+                f"1 row(s) dropped at {op.name}",
+                op=op.name,
+                shard=shard_id,
+            )
+            if quarantine is not None and quarantined:
+                quarantine.write(row_in, op.name, error, shard_id=shard_id, row_index=index)
+            continue
         if row_out is not None:
             stat_rows.append(row_out)
             source_rows.append(row_in)
@@ -440,92 +330,61 @@ def run_op_with_policy(
     op: Any,
     dataset: NestedDataset,
     policy: ErrorPolicy,
-    tracker: FaultTracker,
+    ledger: RunLedger,
     quarantine: QuarantineWriter | None = None,
     tracer: Any = None,
     pool: Any = None,
     shard_id: str | None = None,
 ) -> NestedDataset:
-    """Run one operator under the error policy; the engines' single entry.
+    """Run one Mapper or Filter under the error policy.
 
-    The happy path is a plain ``op.run`` call — one ``try`` frame of
-    overhead.  On failure the call is retried ``max_retries`` times with
-    capped exponential backoff; a persistent failure then either aborts with
-    a fully-contextualised :class:`repro.core.errors.OpExecutionError`
-    (``raise``), or under a lenient policy falls back to per-row isolation
-    (Mappers/Filters) or a recorded degradation-skip (dataset-level ops,
-    whose global stage cannot be row-isolated).
+    The call is retried ``max_retries`` times with capped exponential
+    backoff (:func:`retry_call`); a persistent failure then either aborts
+    with a fully-contextualised :class:`repro.core.errors.OpExecutionError`
+    (``raise``), or under a lenient policy falls back to per-row isolation.
     """
     kwargs: dict = {"tracer": tracer}
     if pool is not None:
         kwargs["pool"] = pool
-    attempt = 0
-    while True:
-        try:
-            return op.run(dataset, **kwargs)
-        except Exception as error:
-            tracker.record_op_error(op.name, error, shard_id)
-            if attempt < policy.max_retries:
-                tracker.record_retry(op.name, shard_id)
-                policy.sleep(attempt)
-                attempt += 1
-                continue
-            if not policy.lenient:
-                row_index = (
-                    _probe_failing_row(op, dataset)
-                    if isinstance(op, (Mapper, Filter))
-                    else None
-                )
-                raise OpExecutionError(
-                    describe_failure(op.name, error, shard_id, row_index),
-                    op_name=op.name,
-                    shard_id=shard_id,
-                    row_index=row_index,
-                ) from error
-            if isinstance(op, (Mapper, Filter)):
-                logger.warning(
-                    "operator %r failed persistently (%r); isolating rows",
-                    op.name,
-                    error,
-                )
-                return _isolate_rows(
-                    op, dataset, policy, tracker, quarantine, tracer, shard_id
-                )
-            # Deduplicators/Selectors decide globally; skipping the op keeps
-            # every row, which is the conservative lenient outcome
-            tracker.record_degradation(
-                f"dataset-level op {op.name!r} skipped after persistent failure: {error!r}"
-            )
-            return NestedDataset.from_list(
-                dataset.to_list(),
-                fingerprint=_stable_hash(
-                    {"parent": dataset.fingerprint, "fault_skipped_op": op.name}
-                ),
-            )
+    try:
+        return retry_call(partial(op.run, dataset, **kwargs), policy, ledger, op.name, shard_id)
+    except Exception as error:
+        if not policy.lenient:
+            row_index = _probe_failing_row(op, dataset)
+            raise OpExecutionError(
+                describe_failure(op.name, error, shard_id, row_index),
+                op_name=op.name,
+                shard_id=shard_id,
+                row_index=row_index,
+            ) from error
+        logger.warning(
+            "operator %r failed persistently (%r); isolating rows", op.name, error
+        )
+        return _isolate_rows(op, dataset, policy, ledger, quarantine, tracer, shard_id)
 
 
 def retry_call(
     function: Any,
     policy: ErrorPolicy,
-    tracker: FaultTracker,
+    ledger: RunLedger,
     op_name: str,
     shard_id: str | None = None,
 ) -> Any:
     """Call ``function()`` with the policy's retry/backoff loop.
 
-    Used for non-op engine stages (e.g. the streaming global resolve).  The
-    final failure is re-raised unwrapped, so the caller applies its own
-    policy verdict.
+    Every failure counts as an error of ``op_name`` and every retry as a
+    retry.  The final failure is re-raised unwrapped, so the caller applies
+    its own policy verdict.
     """
     attempt = 0
     while True:
         try:
             return function()
         except Exception as error:
-            tracker.record_op_error(op_name, error, shard_id)
+            ledger.fault("op_error", repr(error), op=op_name, shard=shard_id)
             if attempt >= policy.max_retries:
                 raise
-            tracker.record_retry(op_name, shard_id)
+            ledger.fault("retry", f"retrying {op_name}", op=op_name, shard=shard_id)
             policy.sleep(attempt)
             attempt += 1
 
@@ -535,8 +394,6 @@ __all__ = [
     "DegradedExecutionWarning",
     "ERROR_POLICIES",
     "ErrorPolicy",
-    "FaultTracker",
-    "MAX_FAULT_EVENTS",
     "QuarantineWriter",
     "describe_failure",
     "retry_call",

@@ -26,6 +26,24 @@ from typing import Any, Iterator
 #: file name of the persisted report inside a run's ``work_dir``
 REPORT_FILE = "report.json"
 
+#: fault event kind -> the ``faults`` counter it increments, in report order
+FAULT_COUNTERS = {
+    "retry": "retries",
+    "pool_rebuild": "pool_rebuilds",
+    "degradation": "degradations",
+    "quarantine_rows": "quarantined_rows",
+    "skip_rows": "skipped_rows",
+    "quarantine_shard": "quarantined_shards",
+}
+
+#: the counted keys of each counter section of the report, in report order;
+#: :class:`repro.core.monitor.RunLedger` counts exactly these
+SECTION_COUNTERS: dict[str, tuple[str, ...]] = {
+    "shards": ("input_shards", "resumed_shards", "executed_shards", "cached_shards"),
+    "cache": ("shard_hits", "shard_misses", "resolve_hits", "resolve_misses"),
+    "faults": tuple(FAULT_COUNTERS.values()),
+}
+
 
 @dataclass
 class OpReport:
@@ -96,7 +114,7 @@ class RunReport(Mapping):
     planner: dict | None = None
     #: fault-tolerance accounting of the run — the active error policy plus
     #: every retry, pool rebuild, quarantined row/shard, per-op error count
-    #: and degradation (see :class:`repro.core.faults.FaultTracker`)
+    #: and degradation (see :class:`repro.core.monitor.RunLedger`)
     faults: dict | None = None
 
     # ------------------------------------------------------------------
@@ -260,10 +278,7 @@ class RunReport(Mapping):
                 f"start_method={parallel.get('start_method')}"
             )
         faults = self.faults or {}
-        counter_keys = (
-            "retries", "pool_rebuilds", "degradations",
-            "quarantined_rows", "skipped_rows", "quarantined_shards",
-        )
+        counter_keys = SECTION_COUNTERS["faults"]
         if faults and (
             any(faults.get(key) for key in counter_keys) or faults.get("op_errors")
         ):
@@ -302,4 +317,4 @@ class RunReport(Mapping):
         return "\n".join(lines)
 
 
-__all__ = ["OpReport", "REPORT_FILE", "RunReport"]
+__all__ = ["FAULT_COUNTERS", "OpReport", "REPORT_FILE", "RunReport", "SECTION_COUNTERS"]

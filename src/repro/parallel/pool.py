@@ -149,9 +149,9 @@ class WorkerPool:
         self.rebuilds = 0
         #: True once the pool gave up on worker processes and runs serial
         self.degraded = False
-        #: optional :class:`repro.core.faults.FaultTracker` sharing the
-        #: executor's per-run fault ledger (set by the executor each run)
-        self.fault_tracker: Any = None
+        #: optional :class:`repro.core.monitor.RunLedger` of the executor's
+        #: current run (set by the executor each run)
+        self.ledger: Any = None
         #: the drain error :meth:`close` fell back to ``terminate()`` on
         self.close_error: BaseException | None = None
         #: pids of the workers that executed the most recent dispatch — direct
@@ -369,8 +369,8 @@ class WorkerPool:
             time.sleep(min(self.rebuild_backoff_s * (2 ** attempt), BACKOFF_CAP_S))
         self._pool = self._spawn_pool()
         self.rebuilds += 1
-        if self.fault_tracker is not None:
-            self.fault_tracker.record_rebuild(detail)
+        if self.ledger is not None:
+            self.ledger.fault("pool_rebuild", detail)
 
     def _degrade(self, error: BaseException) -> None:
         """Give up on worker processes; subsequent dispatches run in-parent."""
@@ -380,8 +380,8 @@ class WorkerPool:
             "degrading to serial in-parent execution"
         )
         warnings.warn(detail, DegradedExecutionWarning, stacklevel=3)
-        if self.fault_tracker is not None:
-            self.fault_tracker.record_degradation(detail)
+        if self.ledger is not None:
+            self.ledger.fault("degradation", detail)
         try:
             self._pool.terminate()
             self._pool.join()

@@ -326,6 +326,80 @@ class TestWholeShardQuarantine:
         assert faults["op_errors"]["document_deduplicator"] == 1
 
 
+class TestResolveDegradation:
+    """A global resolve that keeps failing keeps every row (lenient) or aborts."""
+
+    @staticmethod
+    def rows() -> list[dict]:
+        rows = [
+            {"text": f"{row['text'].strip()} document number {index}"}
+            for index, row in enumerate(c4_like(num_samples=30, seed=29).to_list()[:19])
+        ]
+        rows.append(dict(rows[4]))  # a duplicate a clean resolve removes
+        return rows
+
+    @staticmethod
+    def config(tmp_path, tag: str, **overrides) -> dict:
+        config = {
+            "process": [{"document_deduplicator": {}}],
+            "export_path": str(tmp_path / f"{tag}.jsonl"),
+            "work_dir": str(tmp_path / f"work-{tag}"),
+            "cache_dir": str(tmp_path / "cache"),
+            "use_cache": True,
+            "on_error": "skip",
+            "max_retries": 1,
+            "backoff_s": 0,
+        }
+        config.update(overrides)
+        return config
+
+    @staticmethod
+    def run(executor: Executor, streaming: bool, rows: list[dict]) -> None:
+        dataset = NestedDataset.from_list(rows)
+        if streaming:
+            executor.run_streaming(dataset)
+        else:
+            executor.run(dataset)
+
+    @staticmethod
+    def break_resolve(executor: Executor) -> None:
+        def process(dataset, **kwargs):
+            raise RuntimeError("resolve broke")
+
+        executor.ops[-1].process = process
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["memory", "streaming"])
+    def test_lenient_resolve_keeps_every_row_and_is_never_cached(self, tmp_path, streaming):
+        overrides = {"max_shard_rows": 7} if streaming else {}
+        rows = self.rows()
+        degraded = Executor(self.config(tmp_path, "degraded", **overrides))
+        self.break_resolve(degraded)
+        self.run(degraded, streaming, rows)
+
+        assert len(export_lines(tmp_path / "degraded.jsonl")) == 20
+        faults = degraded.last_report["faults"]
+        assert faults["degradations"] == 1
+        assert faults["retries"] == 1
+        assert faults["op_errors"] == {"document_deduplicator": 2}
+
+        # a degraded resolve never enters the cache: a clean run recomputes it
+        clean = Executor(self.config(tmp_path, "clean", **overrides))
+        self.run(clean, streaming, rows)
+        assert clean.last_report["cache"]["resolve_misses"] == 1
+        assert clean.last_report["cache"]["resolve_hits"] == 0
+        assert len(export_lines(tmp_path / "clean.jsonl")) == 19
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["memory", "streaming"])
+    def test_raise_policy_aborts_naming_the_op(self, tmp_path, streaming):
+        overrides = {"max_shard_rows": 7} if streaming else {}
+        executor = Executor(self.config(tmp_path, "raise", on_error="raise", **overrides))
+        self.break_resolve(executor)
+        with pytest.raises(OpExecutionError) as excinfo:
+            self.run(executor, streaming, self.rows())
+        assert excinfo.value.op_name == "document_deduplicator"
+        assert "document_deduplicator" in str(excinfo.value)
+
+
 class TestCrashResumeComposesWithFaults:
     def test_streaming_crash_then_resume_is_byte_identical(self, tmp_path):
         rows = corpus_with_markers(num_samples=40, seed=31)

@@ -29,13 +29,14 @@ class TestCacheManager:
     def test_miss_returns_none_and_counts(self, tmp_path):
         cache = CacheManager(tmp_path)
         assert cache.load("missing") is None
-        assert cache.resolve_misses == 1
+        assert cache.load_shard_rows("missing") is None
 
     def test_hit_counts(self, tmp_path):
         cache = CacheManager(tmp_path)
         cache.save("k", dataset())
-        cache.load("k")
-        assert cache.resolve_hits == 1
+        assert cache.load("k").to_list() == dataset().to_list()
+        cache.save_shard_rows("s", [{"text": "a"}])
+        assert cache.load_shard_rows("s") == [{"text": "a"}]
 
     def test_disabled_cache_is_noop(self, tmp_path):
         cache = CacheManager(tmp_path, enabled=False)

@@ -139,6 +139,26 @@ class TestExecutor:
         assert second.last_report["cache"]["resolve_hits"] == 1
         assert second.last_report["shards"]["executed_shards"] == 0
 
+    def test_cache_counters_count_one_run(self, tmp_path):
+        # one executor run twice: the second report describes the second run
+        # alone, not the executor's lifetime
+        config = {
+            "process": PROCESS,
+            "use_cache": True,
+            "cache_dir": str(tmp_path / "cache"),
+        }
+        data = NestedDataset.from_list(sample_rows())
+        executor = Executor(config)
+        executor.run(data)
+        assert executor.last_report["cache"] == {
+            "shard_hits": 0, "shard_misses": 1, "resolve_hits": 0, "resolve_misses": 1,
+        }
+        executor.run(data)
+        assert executor.last_report["cache"] == {
+            "shard_hits": 1, "shard_misses": 0, "resolve_hits": 1, "resolve_misses": 0,
+        }
+        assert executor.last_report["shards"]["cached_shards"] == 1
+
     def test_checkpoint_resume(self, tmp_path):
         config = {
             "process": PROCESS,

@@ -2,7 +2,7 @@
 
 The deterministic chaos scenarios over full pipelines live in
 ``tests/test_chaos.py``; this module covers the building blocks: the policy
-dataclass, the tracker, the quarantine writer, the policy-aware op runner,
+dataclass, the run ledger's fault accounting, the quarantine writer, the policy-aware op runner,
 the worker-pool close path and the config/API/report surfaces.
 """
 
@@ -19,12 +19,12 @@ from repro.core.executor import Executor
 from repro.core.faults import (
     BACKOFF_CAP_S,
     ErrorPolicy,
-    FaultTracker,
     QuarantineWriter,
     describe_failure,
     retry_call,
     run_op_with_policy,
 )
+from repro.core.monitor import MAX_FAULT_EVENTS, RunLedger
 from repro.core.report import RunReport
 from repro.ops import load_ops
 from repro.parallel import WorkerPool
@@ -84,18 +84,19 @@ class TestErrorPolicy:
         }
 
 
-class TestFaultTracker:
+class TestLedgerFaults:
     def test_counters_and_total(self):
-        tracker = FaultTracker()
-        assert tracker.total_faults == 0
-        tracker.record_retry("some_op")
-        tracker.record_rebuild("pool broke")
-        tracker.record_op_error("some_op", ValueError("x"))
-        tracker.record_dropped_rows("some_op", 2, quarantined=True)
-        tracker.record_dropped_rows("some_op", 1, quarantined=False)
-        tracker.record_dropped_shard("stage0:shard00001", 10)
-        tracker.record_degradation("went serial")
-        payload = tracker.as_dict()
+        ledger = RunLedger()
+        assert ledger.total_faults == 0
+        ledger.fault("retry", "retrying some_op", op="some_op", shard=None)
+        ledger.fault("pool_rebuild", "pool broke")
+        ledger.fault("op_error", "ValueError('x')", op="some_op", shard=None)
+        for _ in range(2):
+            ledger.fault("quarantine_rows", "1 row(s) dropped", op="some_op")
+        ledger.fault("skip_rows", "1 row(s) dropped", op="some_op")
+        ledger.fault("quarantine_shard", "shard dropped", shard="stage0:shard00001")
+        ledger.fault("degradation", "went serial")
+        payload = ledger.faults()
         assert payload["retries"] == 1
         assert payload["pool_rebuilds"] == 1
         assert payload["quarantined_rows"] == 2
@@ -103,16 +104,17 @@ class TestFaultTracker:
         assert payload["quarantined_shards"] == 1
         assert payload["degradations"] == 1
         assert payload["op_errors"] == {"some_op": 1}
-        assert tracker.total_faults == 8
+        assert ledger.total_faults == 8
+        assert payload["events"][0] == {
+            "kind": "retry", "detail": "retrying some_op", "op": "some_op", "shard": None,
+        }
 
     def test_event_log_is_bounded(self):
-        from repro.core.faults import MAX_FAULT_EVENTS
-
-        tracker = FaultTracker()
+        ledger = RunLedger()
         for _ in range(MAX_FAULT_EVENTS * 2):
-            tracker.record_retry("op")
-        assert len(tracker.events) == MAX_FAULT_EVENTS
-        assert tracker.retries == MAX_FAULT_EVENTS * 2
+            ledger.fault("retry", "retrying op", op="op")
+        assert len(ledger.events) == MAX_FAULT_EVENTS
+        assert ledger.counts["retries"] == MAX_FAULT_EVENTS * 2
 
 
 class TestQuarantineWriter:
@@ -149,32 +151,32 @@ class TestQuarantineWriter:
 class TestRunOpWithPolicy:
     def test_skip_drops_only_the_poison_row(self):
         op = poisoned_mapper()
-        tracker = FaultTracker()
+        ledger = RunLedger()
         out = run_op_with_policy(
-            op, poison_dataset(), ErrorPolicy(on_error="skip"), tracker
+            op, poison_dataset(), ErrorPolicy(on_error="skip"), ledger
         )
         assert [row["text"] for row in out] == [
             "a perfectly ordinary document",
             "another fine document",
         ]
-        assert tracker.skipped_rows == 1
-        assert tracker.quarantined_rows == 0
-        assert op.name in tracker.op_errors
+        assert ledger.counts["skipped_rows"] == 1
+        assert ledger.counts["quarantined_rows"] == 0
+        assert op.name in ledger.op_errors
 
     def test_quarantine_writes_the_poison_row(self, tmp_path):
         op = poisoned_mapper()
-        tracker = FaultTracker()
+        ledger = RunLedger()
         quarantine = QuarantineWriter(tmp_path / "q")
         out = run_op_with_policy(
             op,
             poison_dataset(),
             ErrorPolicy(on_error="quarantine"),
-            tracker,
+            ledger,
             quarantine,
         )
         quarantine.close()
         assert len(out) == 2
-        assert tracker.quarantined_rows == 1
+        assert ledger.counts["quarantined_rows"] == 1
         with gzip.open(quarantine.paths[0], "rt", encoding="utf-8") as handle:
             entry = json.loads(handle.readline())
         assert "POISON" in entry["row"]["text"]
@@ -183,7 +185,7 @@ class TestRunOpWithPolicy:
     def test_raise_aborts_with_op_and_row_context(self):
         op = poisoned_mapper()
         with pytest.raises(OpExecutionError) as excinfo:
-            run_op_with_policy(op, poison_dataset(), ErrorPolicy(), FaultTracker())
+            run_op_with_policy(op, poison_dataset(), ErrorPolicy(), RunLedger())
         message = str(excinfo.value)
         assert "whitespace_normalization_mapper" in message
         assert "row index: 1" in message
@@ -195,39 +197,22 @@ class TestRunOpWithPolicy:
         FaultPlan(state_dir=tmp_path).inject(
             "whitespace_normalization_mapper", times=2
         ).install([op])
-        tracker = FaultTracker()
+        ledger = RunLedger()
         out = run_op_with_policy(
             op,
             poison_dataset(),
             ErrorPolicy(max_retries=3, backoff_s=0),
-            tracker,
+            ledger,
         )
         assert len(out) == 3  # nothing dropped: the op healed on retry
-        assert tracker.retries == 2
-
-    def test_dataset_level_op_degrades_to_skip(self):
-        op = load_ops([{"document_deduplicator": {}}])[0]
-
-        def bomb(dataset, **kwargs):
-            raise RuntimeError("global stage broke")
-
-        op.run = bomb
-        tracker = FaultTracker()
-        dataset = poison_dataset()
-        out = run_op_with_policy(
-            op, dataset, ErrorPolicy(on_error="skip"), tracker
-        )
-        # conservative outcome: every row kept, the skip recorded
-        assert out.to_list() == dataset.to_list()
-        assert out.fingerprint != dataset.fingerprint
-        assert tracker.degradations == 1
+        assert ledger.counts["retries"] == 2
 
     def test_fingerprint_salted_by_dropped_rows(self):
         clean = load_ops([{"whitespace_normalization_mapper": {}}])[0]
         clean_out = clean.run(poison_dataset().select([0, 2]))
         faulty = poisoned_mapper()
         faulty_out = run_op_with_policy(
-            faulty, poison_dataset(), ErrorPolicy(on_error="skip"), FaultTracker()
+            faulty, poison_dataset(), ErrorPolicy(on_error="skip"), RunLedger()
         )
         assert clean_out.to_list() == faulty_out.to_list()
         assert clean_out.fingerprint != faulty_out.fingerprint
@@ -243,12 +228,12 @@ class TestRetryCall:
                 raise ValueError("transient")
             return "ok"
 
-        tracker = FaultTracker()
+        ledger = RunLedger()
         result = retry_call(
-            flaky, ErrorPolicy(max_retries=5, backoff_s=0), tracker, "flaky_stage"
+            flaky, ErrorPolicy(max_retries=5, backoff_s=0), ledger, "flaky_stage"
         )
         assert result == "ok"
-        assert tracker.retries == 2
+        assert ledger.counts["retries"] == 2
 
     def test_final_error_reraised_unwrapped(self):
         def always():
@@ -256,7 +241,7 @@ class TestRetryCall:
 
         with pytest.raises(ValueError, match="persistent"):
             retry_call(
-                always, ErrorPolicy(max_retries=1, backoff_s=0), FaultTracker(), "x"
+                always, ErrorPolicy(max_retries=1, backoff_s=0), RunLedger(), "x"
             )
 
 

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.core.executor import Executor
-from repro.core.monitor import RunProfiler
+from repro.core.monitor import RunLedger
 from repro.core.report import OpReport, REPORT_FILE, RunReport
 from repro.core.tracer import Tracer
 from repro.ops import build_ops
@@ -72,32 +72,45 @@ class TestRunReport:
         assert "mode=memory" in text
 
 
-class TestRunProfiler:
+class TestRunLedger:
     def test_aggregates_across_calls(self):
         ops = build_ops([{"text_length_filter": {"min_len": 1}}])
-        profiler = RunProfiler()
+        ledger = RunLedger()
         for _ in range(3):
-            with profiler.track(ops[0], rows_in=10) as tracking:
-                tracking.rows_out = 8
-        (profile,) = profiler.reports()
+            with ledger.track(ops[0], rows_in=10) as rows_out:
+                rows_out(8)
+        (profile,) = ledger.reports()
         assert (profile.calls, profile.rows_in, profile.rows_out) == (3, 30, 24)
         assert profile.wall_time_s > 0
         assert profile.op_type == "filter"
 
     def test_unset_rows_out_counts_time_but_not_rows(self):
         ops = build_ops([{"document_deduplicator": {}}])
-        profiler = RunProfiler()
-        with profiler.track(ops[0], rows_in=10):
+        ledger = RunLedger()
+        with ledger.track(ops[0], rows_in=10):
             pass  # e.g. a Deduplicator's hashing stage: timed, rows deferred
-        (profile,) = profiler.reports()
+        (profile,) = ledger.reports()
         assert (profile.calls, profile.rows_in, profile.rows_out) == (1, 0, 0)
 
     def test_cached_calls_tracked_separately(self):
         ops = build_ops([{"text_length_filter": {"min_len": 1}}])
-        profiler = RunProfiler()
-        profiler.record_cached(ops[0], 5)
-        (profile,) = profiler.reports()
+        ledger = RunLedger()
+        ledger.record_cached(ops[0])
+        (profile,) = ledger.reports()
         assert profile.cached_calls == 1 and profile.rows_in == 0
+
+    def test_sections_use_the_report_key_table(self):
+        from repro.core.report import SECTION_COUNTERS
+
+        ledger = RunLedger()
+        ledger.count("shard_hits")
+        ledger.count("input_shards", 3)
+        assert ledger.section("cache") == {
+            "shard_hits": 1, "shard_misses": 0, "resolve_hits": 0, "resolve_misses": 0,
+        }
+        assert ledger.section("shards")["input_shards"] == 3
+        for name, keys in SECTION_COUNTERS.items():
+            assert tuple(ledger.section(name)) == keys
 
 
 # ----------------------------------------------------------------------
